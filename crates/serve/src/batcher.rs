@@ -1,9 +1,12 @@
-//! Adaptive micro-batching over one [`Engine`].
+//! Work-conserving micro-batching over one [`Engine`].
 //!
 //! Requests enter a bounded admission queue; a single batcher thread
-//! coalesces whatever is queued into one `Engine::classify` call, flushing
-//! when the batch reaches `max_batch` documents or when `flush_us` has
-//! elapsed since the oldest queued request arrived — whichever comes first.
+//! blocks for the next request, then takes whatever else is already
+//! queued — arrivals that piled up while the previous batch ran — into one
+//! `Engine::classify` call. It flushes as soon as the batch reaches
+//! `max_batch` documents or the queue is empty: an idle server answers a
+//! lone request at once, and a loaded one still coalesces, with no timer
+//! on either path (continuous batching).
 //!
 //! Coalescing is *free* of output risk: every engine method scores each
 //! document independently (index-ordered chunking, per-row forward passes),
@@ -13,18 +16,15 @@
 
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use structmine_engine::{Engine, Prediction};
 use structmine_store::obs;
 
-/// Batching knobs (`--max-batch`, `--flush-us`, `--queue-cap`).
+/// Batching knobs (`--max-batch`, `--queue-cap`).
 #[derive(Clone, Copy, Debug)]
 pub struct BatcherConfig {
-    /// Flush once this many documents are queued.
+    /// Stop coalescing once a batch holds this many documents.
     pub max_batch: usize,
-    /// Flush this many microseconds after the oldest queued request.
-    pub flush_us: u64,
     /// Bounded admission queue length, in *requests*; an arriving request
     /// that finds the queue full is rejected with 503 instead of piling up.
     pub queue_cap: usize,
@@ -34,7 +34,6 @@ impl Default for BatcherConfig {
     fn default() -> Self {
         BatcherConfig {
             max_batch: 32,
-            flush_us: 2_000,
             queue_cap: 64,
         }
     }
@@ -111,49 +110,50 @@ impl Batcher {
 }
 
 /// Why a batch was flushed; becomes a counter name on the run report.
+#[derive(Debug, PartialEq, Eq)]
 enum Flush {
+    /// The batch reached `max_batch` documents.
     Size,
-    Deadline,
+    /// The queue was empty: nothing else was waiting, so flush at once.
+    Idle,
+    /// The queue closed (shutdown): this is the final batch.
     Drain,
 }
 
 fn run(engine: Arc<Engine>, cfg: BatcherConfig, rx: mpsc::Receiver<Job>) {
     while let Ok(first) = rx.recv() {
-        let deadline = Instant::now() + Duration::from_micros(cfg.flush_us);
-        let mut jobs = vec![first];
-        let mut n_docs = jobs[0].lines.len();
-        let mut flush = Flush::Size;
-        while n_docs < cfg.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                flush = Flush::Deadline;
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    n_docs += job.lines.len();
-                    jobs.push(job);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    flush = Flush::Deadline;
-                    break;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    flush = Flush::Drain;
-                    break;
-                }
-            }
-        }
+        let (jobs, n_docs, flush) = next_batch(first, &rx, cfg.max_batch);
         obs::counter_add(
             match flush {
                 Flush::Size => "serve.flushes_size",
-                Flush::Deadline => "serve.flushes_deadline",
+                Flush::Idle => "serve.flushes_idle",
                 Flush::Drain => "serve.flushes_drain",
             },
             1,
         );
         classify_batch(&engine, jobs, n_docs);
     }
+}
+
+/// Form one batch: `first` plus every job already queued, until the batch
+/// holds `max_batch` documents. Never waits. The job that crosses
+/// `max_batch` stays in the batch (requests are never split), so a batch
+/// may overshoot by less than one request. Returns the jobs, their document
+/// count, and why the batch closed.
+fn next_batch(first: Job, rx: &mpsc::Receiver<Job>, max_batch: usize) -> (Vec<Job>, usize, Flush) {
+    let mut n_docs = first.lines.len();
+    let mut jobs = vec![first];
+    while n_docs < max_batch {
+        match rx.try_recv() {
+            Ok(job) => {
+                n_docs += job.lines.len();
+                jobs.push(job);
+            }
+            Err(mpsc::TryRecvError::Empty) => return (jobs, n_docs, Flush::Idle),
+            Err(mpsc::TryRecvError::Disconnected) => return (jobs, n_docs, Flush::Drain),
+        }
+    }
+    (jobs, n_docs, Flush::Size)
 }
 
 /// One coalesced `Engine::classify` call, results scattered back per job.
@@ -187,5 +187,50 @@ fn classify_batch(engine: &Engine, mut jobs: Vec<Job>, n_docs: usize) {
                 let _ = job.reply.send(Err(msg.clone()));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job of `docs` documents whose reply nobody reads.
+    fn job(docs: usize) -> Job {
+        Job {
+            lines: vec!["doc".to_string(); docs],
+            reply: mpsc::channel().0,
+        }
+    }
+
+    #[test]
+    fn empty_queue_flushes_a_lone_job_at_once() {
+        let (tx, rx) = mpsc::sync_channel(8);
+        let (jobs, n_docs, flush) = next_batch(job(1), &rx, 32);
+        assert_eq!((jobs.len(), n_docs, flush), (1, 1, Flush::Idle));
+        drop(tx);
+    }
+
+    #[test]
+    fn queued_jobs_coalesce_up_to_max_batch_without_splitting() {
+        let (tx, rx) = mpsc::sync_channel(8);
+        for _ in 0..5 {
+            tx.try_send(job(3)).expect("queue has room");
+        }
+        let first = rx.try_recv().expect("five jobs queued");
+        let (jobs, n_docs, flush) = next_batch(first, &rx, 8);
+        // 3 + 3 < 8, so a third job is taken and overshoots to 9.
+        assert_eq!((jobs.len(), n_docs, flush), (3, 9, Flush::Size));
+        assert_eq!(rx.try_iter().count(), 2, "two jobs stay queued");
+    }
+
+    #[test]
+    fn closed_queue_flushes_as_drain() {
+        let (tx, rx) = mpsc::sync_channel(8);
+        tx.try_send(job(2)).expect("queue has room");
+        tx.try_send(job(2)).expect("queue has room");
+        drop(tx);
+        let first = rx.try_recv().expect("two jobs queued");
+        let (jobs, n_docs, flush) = next_batch(first, &rx, 32);
+        assert_eq!((jobs.len(), n_docs, flush), (2, 4, Flush::Drain));
     }
 }

@@ -1,7 +1,7 @@
-//! `bench_serve` — load-test the in-process server and write the current
+//! `bench_serve` — load-test the in-process server and append the current
 //! trajectory points to `BENCH_serve.json` (methodology: EXPERIMENTS.md
-//! §"Serving throughput trajectory"; prior entries are preserved by hand
-//! when recording a new point next to historical ones).
+//! §"Serving throughput trajectory"). Each entry names the commit and the
+//! machine it was measured on; earlier entries are never rewritten.
 //!
 //! Runs a Test-tier X-Class engine on a fixed label set at **both
 //! precision tiers** (DESIGN §13) — the Fast twin shares the Exact
@@ -14,6 +14,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -86,6 +87,64 @@ fn today() -> String {
     let m = if mp < 10 { mp + 3 } else { mp - 9 };
     let y = if m <= 2 { y + 1 } else { y };
     format!("{y:04}-{m:02}-{d:02}")
+}
+
+/// A JSON string literal.
+fn json_str(s: &str) -> String {
+    serde_json::to_string(s).expect("a string always serializes")
+}
+
+/// The trimmed stdout of a successful command, else `"unknown"`.
+fn command_output(cmd: &mut Command) -> String {
+    cmd.output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The host a datapoint was measured on — CPU model, vCPUs, SIMD flags,
+/// `rustc -V` — as a JSON object. Entries from different machines are not
+/// comparable.
+fn machine_json() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |name: &str| {
+        cpuinfo
+            .lines()
+            .find_map(|l| l.strip_prefix(name))
+            .map(|v| v.trim_start_matches([' ', '\t', ':']).trim().to_string())
+    };
+    let model = field("model name").unwrap_or_else(|| "unknown".into());
+    let flags = field("flags").unwrap_or_default();
+    let simd: Vec<String> = ["sse2", "avx2", "fma", "avx512f"]
+        .into_iter()
+        .filter(|f| flags.split_whitespace().any(|g| g == *f))
+        .map(json_str)
+        .collect();
+    let vcpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rustc = command_output(Command::new("rustc").arg("-V"));
+    format!(
+        "{{ \"cpu\": {}, \"vcpus\": {vcpus}, \"simd\": [{}], \"rustc\": {} }}",
+        json_str(&model),
+        simd.join(", "),
+        json_str(&rustc)
+    )
+}
+
+/// Append `entries` (rendered JSON objects) to the `entries` array that
+/// closes the trajectory file, leaving every earlier byte as it was.
+fn append_entries(path: &str, entries: &[String]) -> Result<(), String> {
+    let old = std::fs::read_to_string(path)
+        .map_err(|e| format!("read {path} (run from the repository root): {e}"))?;
+    let head = old
+        .trim_end()
+        .strip_suffix('}')
+        .and_then(|s| s.trim_end().strip_suffix(']'))
+        .ok_or_else(|| format!("{path} does not end with its entries array"))?
+        .trim_end();
+    let sep = if head.ends_with('[') { "" } else { "," };
+    let json = format!("{head}{sep}\n{}\n  ]\n}}\n", entries.join(",\n"));
+    std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))
 }
 
 struct Level {
@@ -199,16 +258,20 @@ fn main() {
     let exact_levels = run_tier(Arc::new(exact), requests, docs);
     let fast_levels = run_tier(Arc::new(fast), requests, docs);
     let date = today();
-    let entry = |precision: &str, change: &str, levels: &str| {
+    let commit = json_str(&command_output(
+        Command::new("git").args(["describe", "--always", "--dirty"]),
+    ));
+    let machine = machine_json();
+    let entry = |precision: &str, levels: &[Level]| {
         format!(
-            "    {{\n      \"date\": \"{date}\",\n      \"change\": \"{change}\",\n      \"tier\": \"test\",\n      \"method\": \"xclass\",\n      \"precision\": \"{precision}\",\n      \"requests_per_client\": {requests},\n      \"docs_per_request\": {docs},\n      \"levels\": [\n{levels}\n      ]\n    }}"
+            "    {{\n      \"date\": \"{date}\",\n      \"commit\": {commit},\n      \"machine\": {machine},\n      \"tier\": \"test\",\n      \"method\": \"xclass\",\n      \"precision\": \"{precision}\",\n      \"requests_per_client\": {requests},\n      \"docs_per_request\": {docs},\n      \"levels\": [\n{}\n      ]\n    }}",
+            levels_json(levels)
         )
     };
-    let json = format!(
-        "{{\n  \"description\": \"Serving throughput trajectory of structmine-serve (DESIGN §10): docs/sec and request latency of POST /classify against a Test-tier X-Class engine with adaptive micro-batching (max_batch 32, flush 2000us), at both precision tiers (DESIGN §13). Regeneration: EXPERIMENTS.md §'Serving throughput trajectory'.\",\n  \"entries\": [\n{},\n{}\n  ]\n}}\n",
-        entry("exact", "precision tiers: exact-tier measurement", &levels_json(&exact_levels)),
-        entry("fast", "precision tiers: fast-tier measurement (same fit, fast query encode)", &levels_json(&fast_levels)),
-    );
-    std::fs::write("BENCH_serve.json", json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
+    let entries = [entry("exact", &exact_levels), entry("fast", &fast_levels)];
+    if let Err(e) = append_entries("BENCH_serve.json", &entries) {
+        eprintln!("bench_serve: {e}");
+        std::process::exit(1);
+    }
+    println!("appended 2 entries to BENCH_serve.json");
 }

@@ -43,12 +43,13 @@ impl std::fmt::Display for HttpError {
     }
 }
 
-/// Read one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+/// Read one request from `stream`. Hostile bytes give a typed error,
+/// never a panic: the header cap is enforced while reading, so a line with
+/// no newline cannot grow a buffer past it.
+pub fn read_request(stream: impl Read) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(HttpError::Io)?;
-    let mut header_bytes = line.len();
+    let mut budget = MAX_HEADER_BYTES;
+    let line = read_header_line(&mut reader, &mut budget)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -61,18 +62,11 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header).map_err(HttpError::Io)?;
-        if n == 0 {
+        let header = read_header_line(&mut reader, &mut budget)?;
+        if header.is_empty() {
             return Err(HttpError::BadRequest(
                 "connection closed mid-headers".into(),
             ));
-        }
-        header_bytes += n;
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::TooLarge(format!(
-                "headers exceed {MAX_HEADER_BYTES} bytes"
-            )));
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -94,6 +88,23 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(HttpError::Io)?;
     Ok(Request { method, path, body })
+}
+
+/// Read one line of the request line + header block (empty at end of
+/// input), charging its bytes to `budget`. At most one byte past the budget
+/// is ever buffered.
+fn read_header_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpError> {
+    let mut line = Vec::new();
+    let cap = *budget as u64 + 1;
+    let n = reader
+        .take(cap)
+        .read_until(b'\n', &mut line)
+        .map_err(HttpError::Io)?;
+    *budget = budget
+        .checked_sub(n)
+        .ok_or_else(|| HttpError::TooLarge(format!("headers exceed {MAX_HEADER_BYTES} bytes")))?;
+    String::from_utf8(line)
+        .map_err(|_| HttpError::BadRequest("request line or header is not UTF-8".into()))
 }
 
 /// Write a full response and close the connection (the only mode we speak).

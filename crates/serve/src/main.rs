@@ -3,13 +3,13 @@
 //! ```text
 //! structmine-serve --labels sports,business,technology [--method xclass]
 //!                  [--tier test|standard] [--port 7878] [--max-batch 32]
-//!                  [--flush-us 2000] [--queue-cap 64] [--threads <n>]
+//!                  [--queue-cap 64] [--threads <n>]
 //!                  [--precision exact|fast] [--socket-timeout-ms 10000]
 //!                  [--no-cache | --cache-dir <dir>] [--report-json <path>]
 //! ```
 //!
 //! Every flag falls back to a `STRUCTMINE_SERVE_*` environment variable
-//! (`STRUCTMINE_SERVE_PORT`, `_MAX_BATCH`, `_FLUSH_US`, `_QUEUE_CAP`,
+//! (`STRUCTMINE_SERVE_PORT`, `_MAX_BATCH`, `_QUEUE_CAP`,
 //! `_LABELS`, `_METHOD`, `_TIER`, `_SOCKET_TIMEOUT_MS`); `--precision`
 //! falls back to `STRUCTMINE_PRECISION` itself. A Fast-tier server runs
 //! the accuracy-tolerance self-check after warming: it classifies the
@@ -64,7 +64,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: structmine-serve --labels <a,b,c> [--method xclass|lotclass|prompt|match]\n\
          \x20                       [--tier test|standard] [--port 7878] [--max-batch 32]\n\
-         \x20                       [--flush-us 2000] [--queue-cap 64] [--threads <n>]\n\
+         \x20                       [--queue-cap 64] [--threads <n>]\n\
          \x20                       [--socket-timeout-ms 10000]\n\
          \x20                       [--no-cache | --cache-dir <dir>] [--report-json <path>]"
     );
@@ -122,7 +122,6 @@ fn main() {
                 | "tier"
                 | "port"
                 | "max-batch"
-                | "flush-us"
                 | "queue-cap"
                 | "socket-timeout-ms"
                 | "threads"
@@ -195,10 +194,6 @@ fn main() {
             max_batch: parse_num(
                 "max-batch",
                 &flag_or_env(&flags, "max-batch").unwrap_or_else(|| "32".into()),
-            ),
-            flush_us: parse_num(
-                "flush-us",
-                &flag_or_env(&flags, "flush-us").unwrap_or_else(|| "2000".into()),
             ),
             queue_cap: parse_num(
                 "queue-cap",

@@ -1,4 +1,4 @@
-//! The HTTP server: bounded accept loop, one handler thread per
+//! The HTTP server: a blocking accept loop, one handler thread per
 //! connection, all classification funneled through the [`Batcher`].
 
 use std::io::Write as _;
@@ -53,8 +53,6 @@ impl Server {
         // Advertise the engine's tier so every `/healthz` body names it.
         structmine_store::health::set_precision_tier(engine.precision().name());
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
-        // Non-blocking accept so the loop can observe the shutdown flag.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let batcher = Batcher::start(Arc::clone(&engine), cfg.batch)?;
         let queue = batcher.queue();
@@ -82,6 +80,11 @@ impl Server {
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_handle.take() {
+            // Wake the blocked `accept` with one self-connect; the loop
+            // sees the flag and drops this connection. It always lands:
+            // the listener is on loopback, and if its backlog is full then
+            // `accept` has connections to return and is awake already.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
         if let Some(b) = self.batcher.take() {
@@ -110,8 +113,14 @@ fn accept_loop(
     timeout: Option<Duration>,
 ) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // `Server::stop` sets the flag before its wake-up connect, so the
+        // connection that woke us is dropped here unanswered.
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 // Both deadlines up front: a client that stalls sending its
                 // request *or* stops reading its response is disconnected,
@@ -141,17 +150,16 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
             Err(e) => {
                 obs::log_warn(&format!("[serve] accept error: {e}"));
                 std::thread::sleep(Duration::from_millis(10));
             }
         }
     }
-    // Drain: every accepted connection gets its response before the
-    // batcher (whose queue this thread's `queue` clone keeps open) closes.
+    // Refuse new connections from here on, then drain: every accepted
+    // connection gets its response before the batcher (whose queue this
+    // thread's `queue` clone keeps open) closes.
+    drop(listener);
     for h in handlers {
         let _ = h.join();
     }

@@ -80,11 +80,10 @@ fn concurrent_requests_match_cli_bytes_and_stats_parses() {
         Arc::new(engine),
         ServeConfig {
             port: 0,
-            // A tight flush deadline plus a small size cap so the
-            // concurrent wave below actually exercises coalescing.
+            // A small size cap, so the concurrent wave below is answered
+            // from several coalesced batches.
             batch: BatcherConfig {
                 max_batch: 8,
-                flush_us: 3_000,
                 queue_cap: 64,
             },
             ..Default::default()

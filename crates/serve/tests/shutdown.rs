@@ -1,12 +1,17 @@
 //! Graceful-shutdown coverage: the real `structmine-serve` binary is
 //! killed with SIGTERM mid-load and must still answer every accepted
 //! request, flush the final micro-batch, write a schema-valid JSON run
-//! report, and exit 0.
+//! report, and exit 0; and an idle in-process server's blocked accept is
+//! woken by `Server::stop`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
+
+use structmine_engine::{Engine, EngineConfig, EngineSource, MethodKind, PlmSpec};
+use structmine_serve::{ServeConfig, Server};
 
 fn report_path() -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -26,8 +31,6 @@ fn spawn_server(report: &std::path::Path) -> (Child, std::net::SocketAddr) {
             "test",
             "--port",
             "0",
-            "--flush-us",
-            "4000",
             "--report-json",
             report.to_str().unwrap(),
         ])
@@ -133,4 +136,42 @@ fn wait_with_deadline(child: &mut Child, deadline: Duration) -> std::process::Ex
         }
         std::thread::sleep(Duration::from_millis(50));
     }
+}
+
+#[test]
+fn stop_wakes_an_idle_blocking_accept() {
+    let engine = Engine::load(EngineConfig {
+        source: EngineSource::Labels(vec!["sports".into(), "business".into()]),
+        method: MethodKind::Match,
+        plm: PlmSpec::Pretrained(structmine_plm::cache::Tier::Test),
+        seed: None,
+        exec: structmine_linalg::ExecPolicy::default(),
+    })
+    .expect("engine loads");
+    let server = Server::start(
+        Arc::new(engine),
+        ServeConfig {
+            port: 0,
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    let addr = server.addr();
+
+    // No traffic at all: the accept thread is blocked in `accept`, and
+    // only `stop`'s wake-up connection can return it. A missed wake fails
+    // here after 5 s instead of hanging the suite.
+    let (done, stopped) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let mut server = server;
+        server.stop();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(5))
+        .expect("Server::stop must return on an idle server");
+    stopper.join().expect("stop thread");
+
+    let refused = TcpStream::connect(addr).expect_err("listener must be closed after stop");
+    assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
 }
