@@ -1,5 +1,5 @@
-//! Criterion benchmarks for the compute kernels (DESIGN §9): the blocked
-//! packed matmul/matmul_t against an in-bench naive reference, plus one
+//! Criterion benchmarks for the compute kernels (DESIGN §9): `Matrix::gemm`
+//! in each right-operand form against an in-bench naive reference, plus one
 //! training-shaped autodiff step exercising the graph arena.
 //!
 //! Shapes mirror the two regimes the mini-PLM actually hits: "small" is an
@@ -9,7 +9,7 @@
 //! `cargo bench --no-run`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use structmine_linalg::{rng, Matrix};
+use structmine_linalg::{rng, ExecPolicy, Matrix, PackedMatrix, Precision, Rhs};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut r = rng::seeded(seed);
@@ -50,6 +50,9 @@ fn bench_kernels(c: &mut Criterion) {
     let a_med = random_matrix(48, 48, 3);
     let b_med = random_matrix(48, 2000, 4);
 
+    let exact = ExecPolicy::serial();
+    let fast = exact.with_precision(Precision::Fast);
+
     group.bench_function("naive_small", |b| {
         b.iter(|| black_box(naive_matmul(&a_small, &b_small)))
     });
@@ -63,45 +66,45 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| black_box(a_med.matmul(&b_med)))
     });
 
-    // matmul_t on the same medium shape (B given row-major, as the tied
-    // embedding table actually is).
+    // The transposed form on the same medium shape (B given row-major, as
+    // the tied embedding table actually is).
     let bt_med = b_med.transpose();
     group.bench_function("blocked_t_medium", |b| {
         b.iter(|| black_box(a_med.matmul_t(&bt_med)))
     });
 
-    // One matmul into a caller buffer: isolates the allocation saving.
+    // One product into a caller buffer: isolates the allocation saving.
     let mut out = Matrix::zeros(a_med.rows(), b_med.cols());
     group.bench_function("blocked_medium_into", |b| {
         b.iter(|| {
-            a_med.matmul_into(&b_med, &mut out);
+            a_med.gemm(Rhs::Dense(&b_med), &mut out, &exact);
             black_box(out.get(0, 0))
         })
     });
 
-    // The prepacked path (DESIGN §14): same product, but the right
+    // The prepacked form (DESIGN §14): same product, but the right
     // operand's panel layout is built once up front instead of per call.
     // The delta against blocked_medium_into is exactly the per-call
     // packing tax the serving hot path no longer pays.
-    let packed_med = structmine_linalg::PackedMatrix::pack(&b_med);
+    let packed_med = PackedMatrix::pack(&b_med);
     group.bench_function("prepacked_medium_into", |b| {
         b.iter(|| {
-            a_med.matmul_prepacked_into(&packed_med, &mut out);
+            a_med.gemm(Rhs::Packed(&packed_med), &mut out, &exact);
             black_box(out.get(0, 0))
         })
     });
-    // Fast-tier twin: prepacked panels fed to the runtime-dispatched
-    // SSE2 tile (branch-free, no sparse-row skip).
+    // Fast tier: prepacked panels fed to the SSE2 tile (branch-free, no
+    // sparse-row skip).
     group.bench_function("prepacked_fast_medium_into", |b| {
         b.iter(|| {
-            a_med.matmul_prepacked_fast_into(&packed_med, &mut out);
+            a_med.gemm(Rhs::Packed(&packed_med), &mut out, &fast);
             black_box(out.get(0, 0))
         })
     });
     // The pack itself, so the break-even call count is readable straight
     // off the report.
     group.bench_function("pack_medium", |b| {
-        b.iter(|| black_box(structmine_linalg::PackedMatrix::pack(&b_med)))
+        b.iter(|| black_box(PackedMatrix::pack(&b_med)))
     });
     group.finish();
 }

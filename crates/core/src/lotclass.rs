@@ -15,7 +15,7 @@
 
 use crate::common;
 use structmine_linalg::exec::{par_map_chunks, ExecPolicy};
-use structmine_linalg::{vector, Matrix};
+use structmine_linalg::{vector, Matrix, Precision};
 use structmine_nn::classifiers::{MlpClassifier, TrainConfig};
 use structmine_nn::selftrain::{self, SelfTrainConfig};
 use structmine_plm::MiniPlm;
@@ -297,8 +297,12 @@ impl LotClass {
             for &wp in &wrapped_positions {
                 seq[wp] = structmine_text::vocab::MASK;
             }
-            let tops =
-                plm.mlm_topk_multi(&seq, &wrapped_positions, self.replacements_per_occurrence);
+            let tops = plm.mlm_topk_multi(
+                &seq,
+                &wrapped_positions,
+                self.replacements_per_occurrence,
+                Precision::Exact,
+            );
             let mut votes = vec![0usize; n_classes];
             for top in &tops {
                 for (c, set) in vocab_sets.iter().enumerate() {
@@ -447,7 +451,12 @@ impl LotClass {
         let tops = par_map_chunks(&self.exec, &plan, |_, &(di, p)| {
             let mut seq = plm.wrap(&dataset.corpus.docs[di].tokens);
             seq[p + 1] = structmine_text::vocab::MASK;
-            plm.mlm_topk(&seq, p + 1, self.replacements_per_occurrence)
+            plm.mlm_topk(
+                &seq,
+                p + 1,
+                self.replacements_per_occurrence,
+                Precision::Exact,
+            )
         });
         let mut counts = std::collections::HashMap::new();
         for top in tops {
@@ -494,7 +503,12 @@ impl LotClass {
             // Mask the occurrence and ask the MLM what could stand there.
             let mut seq = plm.wrap(&dataset.corpus.docs[di].tokens);
             seq[p + 1] = structmine_text::vocab::MASK;
-            plm.mlm_topk(&seq, p + 1, self.replacements_per_occurrence)
+            plm.mlm_topk(
+                &seq,
+                p + 1,
+                self.replacements_per_occurrence,
+                Precision::Exact,
+            )
         });
         for top in tops {
             for (r, _) in top {
@@ -588,7 +602,7 @@ pub fn replacement_demo(
             let mut seq = plm.wrap(ctx);
             seq[pos + 1] = structmine_text::vocab::MASK;
             Ok(plm
-                .mlm_topk(&seq, pos + 1, k)
+                .mlm_topk(&seq, pos + 1, k, Precision::Exact)
                 .into_iter()
                 .map(|(t, p)| (corpus_vocab.word(t).to_string(), p))
                 .collect())
@@ -696,7 +710,7 @@ mod tests {
         let model = cfg.fit_model(&d, &plm);
         assert_eq!(model.n_classes(), d.n_classes());
         for (i, doc) in d.corpus.docs.iter().enumerate() {
-            let probs = model.predict_proba(&plm.mean_embed(&doc.tokens));
+            let probs = model.predict_proba(&plm.mean_embed(&doc.tokens, Precision::Exact));
             let pred = vector::argmax(&probs).unwrap_or(0);
             assert_eq!(
                 pred, out.predictions[i],

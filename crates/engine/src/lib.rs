@@ -799,7 +799,9 @@ impl Engine {
                 let plm = self.plm_ref()?;
                 let mut prototypes = Matrix::zeros(self.name_tokens.len(), plm.config.d_model);
                 for (c, name) in self.name_tokens.iter().enumerate() {
-                    prototypes.row_mut(c).copy_from_slice(&plm.mean_embed(name));
+                    prototypes
+                        .row_mut(c)
+                        .copy_from_slice(&plm.mean_embed(name, Precision::Exact));
                 }
                 ServeModel::Match { prototypes }
             }
@@ -832,7 +834,7 @@ impl Engine {
                 let plm = self.plm_ref()?;
                 let prec = self.exec.precision();
                 par_map_chunks(&self.exec, docs, |_, toks| {
-                    m.predict_proba(&plm.mean_embed_prec(toks, prec))
+                    m.predict_proba(&plm.mean_embed(toks, prec))
                 })
             }
             ServeModel::Prompt => {
@@ -849,7 +851,7 @@ impl Engine {
                 let n_classes = self.name_tokens.len();
                 par_map_chunks(&self.exec, docs, |_, toks| {
                     sharpened_softmax(
-                        structmine_plm::prompt::rtd_label_scores_prec(
+                        structmine_plm::prompt::rtd_label_scores(
                             plm,
                             toks,
                             &self.name_tokens,
@@ -865,7 +867,7 @@ impl Engine {
                 let plm = self.plm_ref()?;
                 let prec = self.exec.precision();
                 par_map_chunks(&self.exec, docs, |_, toks| {
-                    let rep = plm.mean_embed_prec(toks, prec);
+                    let rep = plm.mean_embed(toks, prec);
                     let scores: Vec<f32> = (0..prototypes.rows())
                         .map(|c| vector::cosine(&rep, prototypes.row(c)))
                         .collect();

@@ -19,7 +19,7 @@
 //!   computation).
 //!
 //! None of this is used by Exact-tier code paths: training, adaptation,
-//! and the default inference graphs never call into this module.
+//! and Exact inference never call into this module.
 //!
 //! [`Precision::Fast`]: crate::exec::Precision::Fast
 

@@ -26,9 +26,9 @@ pub fn softmax_inplace(a: &mut [f32]) {
 /// rather than underflowing further — beyond f32 resolution of the
 /// normalized row either way, and it keeps the output (and everything
 /// later multiplied by it) free of subnormals. Only Fast-precision
-/// inference graphs call this; Exact paths keep the libm version.
-/// Dispatches to the SSE2 row pass ([`crate::simd::softmax_row_fast`])
-/// where available, with the scalar loop as the portable fallback.
+/// inference calls this; Exact paths keep the libm version. Runs the
+/// SSE2 row pass ([`crate::simd::softmax_row_fast`]) on x86-64, with the
+/// scalar loop as the portable path.
 pub fn softmax_inplace_fast(a: &mut [f32]) {
     crate::simd::softmax_row_fast(a);
 }

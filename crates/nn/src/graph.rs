@@ -5,12 +5,15 @@
 //! accumulates gradients. Operations are an enum rather than closures so the
 //! backward pass can borrow values and gradients without aliasing gymnastics.
 //!
-//! The op set is exactly what the workspace needs: affine maps, activations,
+//! The op set is exactly what training needs: affine maps, activations,
 //! layer norm, row softmax (attention, plain and fused with the attention
 //! scale), the transpose-free product `a × bᵀ`, embedding gather, pooling,
 //! column concat (multi-head attention), and two fused losses (softmax
-//! cross-entropy with soft targets, sigmoid BCE). Each op's gradient is
-//! verified against finite differences in the tests.
+//! cross-entropy with soft targets, sigmoid BCE). Every op is
+//! differentiable, and each op's gradient is verified against finite
+//! differences in the tests. Every tape computes at the Exact tier;
+//! no-gradient forwards run without a tape (`structmine_plm`'s inference
+//! forward), through the same per-op arithmetic in [`crate::ops`].
 //!
 //! # Buffer arena
 //!
@@ -22,7 +25,8 @@
 //! always fully overwritten (or explicitly zeroed) before use, so results
 //! are byte-identical to freshly allocated storage — property-tested below.
 
-use structmine_linalg::{fastmath, simd, Matrix, PackedMatrix, Precision};
+use crate::ops;
+use structmine_linalg::{ExecPolicy, Matrix, Precision, Rhs};
 
 /// Thread-local recycling pool for matrix buffers, keyed by element count.
 ///
@@ -113,23 +117,11 @@ enum Op {
     MatMul(NodeId, NodeId),
     /// `a × bᵀ` without materializing the transpose.
     MatMulT(NodeId, NodeId),
-    /// `a × W` where `W` arrived as pre-packed panels rather than a tape
-    /// node (frozen inference weights; see [`PackedMatrix`]). The weight
-    /// is not on the tape, so no gradient can flow to it — differentiating
-    /// through this op is a programming error and panics.
-    MatMulPrepacked(NodeId),
-    /// Fast-tier layer norm: no cached normalized rows or inv-std (those
-    /// exist only for the backward pass, which Fast tapes never run).
-    LayerNormFast(NodeId),
     Transpose(NodeId),
     Relu(NodeId),
     /// (input, cached per-element tanh of the GELU inner term — reused in
     /// the backward pass so the tanh is computed exactly once)
     Gelu(NodeId, Matrix),
-    /// Fast-tier fused GELU forward: no cached-tanh matrix (inference
-    /// graphs never run backward, so the bookkeeping is pure overhead).
-    /// Differentiating through it is a programming error and panics.
-    GeluFast(NodeId),
     Tanh(NodeId),
     Sigmoid(NodeId),
     RowSoftmax(NodeId),
@@ -139,9 +131,6 @@ enum Op {
     /// (input, gain, bias, cached normalized rows, cached inv-std per row)
     LayerNorm(NodeId, NodeId, NodeId, Matrix, Vec<f32>),
     SelectRows(NodeId, Vec<usize>),
-    /// Contiguous column slice `[start, start + cols)` of the input
-    /// (attention-head views of a fused QKV product).
-    SelectCols(NodeId, usize),
     MeanRows(NodeId),
     ConcatCols(Vec<NodeId>),
     /// (logits, soft target distribution, cached probabilities)
@@ -158,36 +147,24 @@ struct Node {
 
 /// A tape of matrix operations supporting reverse-mode differentiation.
 ///
-/// The tape carries a [`Precision`] chosen at construction: Exact tapes
-/// (the default, and the only kind training ever builds) use libm
-/// transcendentals and the bit-reproducible matmul kernels; Fast tapes
-/// swap in the [`structmine_linalg::fastmath`] approximations, the fused
-/// no-cache GELU, and the branch-free matmul path. Backward passes are
-/// only supported on Exact tapes.
+/// Every tape computes at the Exact tier: libm transcendentals and the
+/// bit-reproducible matmul kernels, whatever `STRUCTMINE_PRECISION` says.
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    precision: Precision,
+}
+
+/// The policy every tape product runs under: the process-global thread
+/// count at the Exact tier, so a Fast process never trains on (or
+/// checkpoints) Fast arithmetic.
+fn exact() -> ExecPolicy {
+    ExecPolicy::global().with_precision(Precision::Exact)
 }
 
 impl Graph {
-    /// An empty tape at Exact precision.
+    /// An empty tape.
     pub fn new() -> Self {
-        Graph::with_precision(Precision::Exact)
-    }
-
-    /// An empty tape at the given precision tier. Training code must pass
-    /// [`Precision::Exact`]; Fast tapes are inference-only.
-    pub fn with_precision(precision: Precision) -> Self {
-        Graph {
-            nodes: Vec::new(),
-            precision,
-        }
-    }
-
-    /// The precision tier this tape computes at.
-    pub fn precision(&self) -> Precision {
-        self.precision
+        Graph::default()
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> NodeId {
@@ -211,26 +188,9 @@ impl Graph {
         self.push(v, Op::Leaf)
     }
 
-    /// Insert a leaf holding rows of `table` gathered by index — the
-    /// inference-path embedding lookup, which skips binding the full table
-    /// into the tape (no gradient flows back to a leaf anyway).
-    pub fn leaf_gather(&mut self, table: &Matrix, indices: &[usize]) -> NodeId {
-        let mut v = arena::take_uninit(indices.len(), table.cols());
-        for (out, &src) in indices.iter().enumerate() {
-            v.row_mut(out).copy_from_slice(table.row(src));
-        }
-        self.push(v, Op::Leaf)
-    }
-
     /// The forward value of a node.
     pub fn value(&self, id: NodeId) -> &Matrix {
         &self.nodes[id.0].value
-    }
-
-    /// Move a node's value out of the tape (leaving an empty matrix), so
-    /// callers that only need one output skip a full copy.
-    pub fn take_value(&mut self, id: NodeId) -> Matrix {
-        std::mem::replace(&mut self.nodes[id.0].value, Matrix::zeros(0, 0))
     }
 
     /// The accumulated gradient of a node (zeros if it never received one).
@@ -268,19 +228,6 @@ impl Graph {
             recycle_node(node);
         }
         arena::flush_reuse_counter();
-    }
-
-    /// [`Self::reset`], then switch the tape to `precision` — for scratch
-    /// tapes held across forward passes that serve at varying tiers.
-    pub fn reset_to(&mut self, precision: Precision) {
-        self.reset();
-        self.precision = precision;
-    }
-
-    /// Allocated node-slot capacity (survives [`Self::reset`]); a non-zero
-    /// value on an empty tape means this graph is being reused as scratch.
-    pub fn node_capacity(&self) -> usize {
-        self.nodes.capacity()
     }
 
     // --- forward ops -------------------------------------------------------
@@ -332,16 +279,11 @@ impl Graph {
         self.push(v, Op::Mul(a, b))
     }
 
-    /// Matrix product `a × b`. Fast tapes use the branch-free kernel
-    /// (no `a == 0.0` skip, no bit-compat with Exact); Exact tapes keep
-    /// the bit-reproducible kernel.
+    /// Matrix product `a × b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let mut v = arena::take_uninit(va.rows(), vb.cols());
-        match self.precision {
-            Precision::Exact => va.matmul_into(vb, &mut v),
-            Precision::Fast => va.matmul_into_fast(vb, &mut v),
-        }
+        va.gemm(Rhs::Dense(vb), &mut v, &exact());
         self.push(v, Op::MatMul(a, b))
     }
 
@@ -352,29 +294,8 @@ impl Graph {
     pub fn matmul_t(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let mut v = arena::take_uninit(va.rows(), vb.rows());
-        match self.precision {
-            Precision::Exact => va.matmul_t_into(vb, &mut v),
-            Precision::Fast => va.matmul_t_into_fast(vb, &mut v),
-        }
+        va.gemm(Rhs::Transposed(vb), &mut v, &exact());
         self.push(v, Op::MatMulT(a, b))
-    }
-
-    /// Matrix product `a × W` through pre-packed weight panels — the
-    /// serving hot path's replacement for binding `W` as a leaf and calling
-    /// [`Self::matmul`]/[`Self::matmul_t`] (the pack's orientation decides
-    /// which product this computes). Skips both the per-call weight copy
-    /// into the tape and the per-call panel pack; per-element arithmetic is
-    /// identical to the unpacked op at the same precision, so Exact tapes
-    /// stay bitwise reproducible. Inference-only: the weight is not a tape
-    /// node, so backward through this op panics.
-    pub fn matmul_prepacked(&mut self, a: NodeId, packed: &PackedMatrix) -> NodeId {
-        let va = &self.nodes[a.0].value;
-        let mut v = arena::take_uninit(va.rows(), packed.n());
-        match self.precision {
-            Precision::Exact => va.matmul_prepacked_into(packed, &mut v),
-            Precision::Fast => va.matmul_prepacked_fast_into(packed, &mut v),
-        }
-        self.push(v, Op::MatMulPrepacked(a))
     }
 
     /// Transpose.
@@ -396,18 +317,6 @@ impl Graph {
     /// tanh evaluations per training step without changing any bit of the
     /// result.
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
-        if self.precision == Precision::Fast {
-            // Fused fast forward: polynomial tanh, no cached matrix to
-            // fill (inference tapes never differentiate, so caching the
-            // inner tanh is one full matrix write of pure overhead).
-            let va = &self.nodes[a.0].value;
-            let mut v = arena::take_uninit(va.rows(), va.cols());
-            for (o, &x) in v.data_mut().iter_mut().zip(va.data()) {
-                let tanh = fastmath::fast_tanh(GELU_C * (x + 0.044715 * x * x * x));
-                *o = 0.5 * x * (1.0 + tanh);
-            }
-            return self.push(v, Op::GeluFast(a));
-        }
         let va = &self.nodes[a.0].value;
         let mut v = arena::take_uninit(va.rows(), va.cols());
         let mut cached_t = arena::take_uninit(va.rows(), va.cols());
@@ -417,28 +326,20 @@ impl Graph {
             .zip(cached_t.data_mut().iter_mut())
             .zip(va.data())
         {
-            let tanh = (GELU_C * (x + 0.044715 * x * x * x)).tanh();
-            *t = tanh;
-            *o = 0.5 * x * (1.0 + tanh);
+            (*o, *t) = ops::gelu(x, f32::tanh);
         }
         self.push(v, Op::Gelu(a, cached_t))
     }
 
     /// tanh.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = match self.precision {
-            Precision::Exact => self.map_unary(a, f32::tanh),
-            Precision::Fast => self.map_unary(a, fastmath::fast_tanh),
-        };
+        let v = self.map_unary(a, f32::tanh);
         self.push(v, Op::Tanh(a))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = match self.precision {
-            Precision::Exact => self.map_unary(a, sigmoid),
-            Precision::Fast => self.map_unary(a, fast_sigmoid),
-        };
+        let v = self.map_unary(a, |x| ops::sigmoid(x, f32::exp));
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -447,17 +348,9 @@ impl Graph {
         let va = &self.nodes[a.0].value;
         let mut v = arena::take_copy(va);
         for i in 0..v.rows() {
-            self.softmax_row(v.row_mut(i));
+            structmine_linalg::stats::softmax_inplace(v.row_mut(i));
         }
         self.push(v, Op::RowSoftmax(a))
-    }
-
-    /// The per-row softmax primitive at this tape's precision.
-    fn softmax_row(&self, row: &mut [f32]) {
-        match self.precision {
-            Precision::Exact => structmine_linalg::stats::softmax_inplace(row),
-            Precision::Fast => structmine_linalg::stats::softmax_inplace_fast(row),
-        }
     }
 
     /// Fused `row_softmax(s * a)` — one node instead of a Scale node plus a
@@ -471,7 +364,7 @@ impl Graph {
             *o = x * s;
         }
         for i in 0..v.rows() {
-            self.softmax_row(v.row_mut(i));
+            structmine_linalg::stats::softmax_inplace(v.row_mut(i));
         }
         self.push(v, Op::ScaledRowSoftmax(a, s))
     }
@@ -479,47 +372,25 @@ impl Graph {
     /// Layer normalization over each row, with learned gain and bias
     /// (`1 x d` leaves).
     pub fn layer_norm(&mut self, a: NodeId, gain: NodeId, bias: NodeId) -> NodeId {
-        const EPS: f32 = 1e-5;
         let va = &self.nodes[a.0].value;
         let g = &self.nodes[gain.0].value;
         let b = &self.nodes[bias.0].value;
         assert_eq!(g.rows(), 1);
         assert_eq!(b.rows(), 1);
-        if self.precision == Precision::Fast {
-            // Fused fast row pass: single sweep per row, no normalized-rows
-            // matrix or inv-std cache (backward-only bookkeeping — one full
-            // matrix write of pure overhead on an inference tape).
-            let mut v = arena::take_copy(va);
-            for i in 0..v.rows() {
-                simd::layer_norm_row_fast(v.row_mut(i), g.row(0), b.row(0), EPS);
-            }
-            return self.push(v, Op::LayerNormFast(a));
-        }
         let (n, d) = va.shape();
         let mut normalized = arena::take_uninit(n, d);
-        let mut inv_std = Vec::with_capacity(n);
         let mut out = arena::take_uninit(n, d);
-        for i in 0..n {
-            let row = va.row(i);
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / d as f32;
-            let istd = 1.0 / (var + EPS).sqrt();
-            inv_std.push(istd);
-            let norm_row = normalized.row_mut(i);
-            for (nr, &x) in norm_row.iter_mut().zip(row) {
-                *nr = (x - mean) * istd;
-            }
-            let norm_row = normalized.row(i);
-            for (((o, &xhat), &gj), &bj) in out
-                .row_mut(i)
-                .iter_mut()
-                .zip(norm_row)
-                .zip(g.row(0))
-                .zip(b.row(0))
-            {
-                *o = xhat * gj + bj;
-            }
-        }
+        let inv_std = (0..n)
+            .map(|i| {
+                ops::layer_norm_row(
+                    va.row(i),
+                    g.row(0),
+                    b.row(0),
+                    normalized.row_mut(i),
+                    out.row_mut(i),
+                )
+            })
+            .collect();
         self.push(out, Op::LayerNorm(a, gain, bias, normalized, inv_std))
     }
 
@@ -531,26 +402,6 @@ impl Graph {
             v.row_mut(out).copy_from_slice(va.row(src));
         }
         self.push(v, Op::SelectRows(a, indices.to_vec()))
-    }
-
-    /// Slice a contiguous range of `width` columns of `a` starting at
-    /// `start` (per-head views of a fused QKV projection).
-    pub fn select_cols(&mut self, a: NodeId, start: usize, width: usize) -> NodeId {
-        let va = &self.nodes[a.0].value;
-        assert!(
-            start + width <= va.cols(),
-            "select_cols out of range: {}+{} > {}",
-            start,
-            width,
-            va.cols()
-        );
-        let rows = va.rows();
-        let mut v = arena::take_uninit(rows, width);
-        for i in 0..rows {
-            v.row_mut(i)
-                .copy_from_slice(&va.row(i)[start..start + width]);
-        }
-        self.push(v, Op::SelectCols(a, start))
     }
 
     /// Mean over rows, producing a `1 x d` vector.
@@ -605,7 +456,7 @@ impl Graph {
         let mut sig = arena::take_copy(vl);
         let mut loss = 0.0f32;
         for (s, t) in sig.data_mut().iter_mut().zip(targets.data()) {
-            *s = sigmoid(*s);
+            *s = ops::sigmoid(*s, f32::exp);
             let p = s.clamp(1e-7, 1.0 - 1e-7);
             loss -= t * p.ln() + (1.0 - t) * (1.0 - p).ln();
         }
@@ -688,11 +539,11 @@ impl Graph {
             Op::MatMul(a, b) => {
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
                 let mut ga = arena::take_uninit(grad_out.rows(), vb.rows());
-                grad_out.matmul_t_into(vb, &mut ga);
+                grad_out.gemm(Rhs::Transposed(vb), &mut ga, &exact());
                 let mut at = arena::take_uninit(va.cols(), va.rows());
                 va.transpose_into(&mut at);
                 let mut gb = arena::take_uninit(at.rows(), grad_out.cols());
-                at.matmul_into(grad_out, &mut gb);
+                at.gemm(Rhs::Dense(grad_out), &mut gb, &exact());
                 arena::give_back(at);
                 vec![(*a, ga), (*b, gb)]
             }
@@ -700,11 +551,11 @@ impl Graph {
                 // out = A·Bᵀ, so dA = G·B and dB = Gᵀ·A.
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
                 let mut ga = arena::take_uninit(grad_out.rows(), vb.cols());
-                grad_out.matmul_into(vb, &mut ga);
+                grad_out.gemm(Rhs::Dense(vb), &mut ga, &exact());
                 let mut gt = arena::take_uninit(grad_out.cols(), grad_out.rows());
                 grad_out.transpose_into(&mut gt);
                 let mut gb = arena::take_uninit(gt.rows(), va.cols());
-                gt.matmul_into(va, &mut gb);
+                gt.gemm(Rhs::Dense(va), &mut gb, &exact());
                 arena::give_back(gt);
                 vec![(*a, ga), (*b, gb)]
             }
@@ -735,32 +586,9 @@ impl Graph {
                     .zip(grad_out.data())
                     .zip(x.data().iter().zip(cached_t.data()))
                 {
-                    let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * xv * xv);
-                    *o = go * (0.5 * (1.0 + t) + 0.5 * xv * (1.0 - t * t) * dinner);
+                    *o = go * ops::gelu_grad(xv, t);
                 }
                 vec![(*a, g)]
-            }
-            Op::GeluFast(a) => {
-                panic!(
-                    "GeluFast (input node {}) is inference-only: \
-                     Fast-precision tapes do not support backward",
-                    a.0
-                )
-            }
-            Op::MatMulPrepacked(a) => {
-                panic!(
-                    "MatMulPrepacked (input node {}) is inference-only: \
-                     the pre-packed weight is not on the tape, so no \
-                     gradient can flow through it",
-                    a.0
-                )
-            }
-            Op::LayerNormFast(a) => {
-                panic!(
-                    "LayerNormFast (input node {}) is inference-only: \
-                     Fast-precision tapes do not support backward",
-                    a.0
-                )
             }
             Op::Tanh(a) => {
                 vec![(
@@ -812,15 +640,6 @@ impl Graph {
                     for (t, &s) in g.row_mut(src_row).iter_mut().zip(grad_out.row(out_row)) {
                         *t += s;
                     }
-                }
-                vec![(*a, g)]
-            }
-            Op::SelectCols(a, start) => {
-                let src = &self.nodes[a.0].value;
-                let mut g = arena::take_zeroed(src.rows(), src.cols());
-                let w = grad_out.cols();
-                for r in 0..grad_out.rows() {
-                    g.row_mut(r)[*start..*start + w].copy_from_slice(grad_out.row(r));
                 }
                 vec![(*a, g)]
             }
@@ -953,18 +772,6 @@ fn scaled_diff(a: &Matrix, b: &Matrix, scale: f32) -> Matrix {
     }
     out
 }
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// Fast-tier sigmoid: same rational form with [`fastmath::fast_exp`]
-/// (rel error ≤ 1e-5, so the sigmoid error is ≤ ~2.5e-6 absolute).
-fn fast_sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + fastmath::fast_exp(-x))
-}
-
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 
 #[cfg(test)]
 mod tests {
@@ -1207,29 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn select_cols_gradient_matches_finite_difference() {
-        check_gradient(
-            |g, x| {
-                let sel = g.select_cols(x, 1, 3);
-                let t = g.tanh(sel);
-                sum_to_scalar(g, t)
-            },
-            &random_matrix(4, 6, 55),
-            2e-2,
-        );
-    }
-
-    #[test]
-    fn select_cols_round_trips_concat_cols_bitwise() {
-        let x = random_matrix(5, 8, 56);
-        let mut g = Graph::new();
-        let a = g.leaf_copied(&x);
-        let parts: Vec<NodeId> = (0..4).map(|h| g.select_cols(a, h * 2, 2)).collect();
-        let back = g.concat_cols(&parts);
-        assert_eq!(g.value(back).data(), x.data());
-    }
-
-    #[test]
     fn concat_and_broadcast_gradients_match() {
         let bias = random_matrix(1, 6, 60);
         check_gradient(
@@ -1356,142 +1140,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_tape_and_take_value_moves() {
+    fn reset_clears_tape() {
         let mut g = Graph::new();
         let x = g.leaf(Matrix::filled(2, 2, 3.0));
         let y = g.scale(x, 2.0);
         assert_eq!(g.len(), 2);
-        let v = g.take_value(y);
-        assert_eq!(v, Matrix::filled(2, 2, 6.0));
-        assert_eq!(g.value(y).shape(), (0, 0));
+        assert_eq!(g.value(y), &Matrix::filled(2, 2, 6.0));
         g.reset();
         assert!(g.is_empty());
-    }
-
-    #[test]
-    fn leaf_gather_matches_select_rows() {
-        let table = random_matrix(7, 3, 120);
-        let ids = [4usize, 0, 6, 4];
-        let mut g = Graph::new();
-        let gathered = g.leaf_gather(&table, &ids);
-        let t = g.leaf(table.clone());
-        let selected = g.select_rows(t, &ids);
-        assert_eq!(g.value(gathered).data(), g.value(selected).data());
-    }
-
-    /// A Fast-precision tape must track the Exact tape element-wise
-    /// through a transformer-shaped op chain (matmul → gelu → tanh →
-    /// sigmoid → scaled softmax). Loose absolute tolerance: each fast op
-    /// contributes ≤ 2e-4.
-    #[test]
-    fn fast_tape_tracks_exact_tape_within_tolerance() {
-        let a = random_matrix(9, 12, 310);
-        let b = random_matrix(12, 9, 311);
-        let run = |precision: Precision| {
-            let mut g = Graph::with_precision(precision);
-            let na = g.leaf(a.clone());
-            let nb = g.leaf(b.clone());
-            let mm = g.matmul(na, nb);
-            let ge = g.gelu(mm);
-            let th = g.tanh(ge);
-            let sg = g.sigmoid(th);
-            let sm = g.scaled_row_softmax(sg, 3.0);
-            g.take_value(sm)
-        };
-        let exact = run(Precision::Exact);
-        let fast = run(Precision::Fast);
-        assert_eq!(exact.shape(), fast.shape());
-        for (e, f) in exact.data().iter().zip(fast.data()) {
-            assert!((e - f).abs() <= 1e-3, "exact={e} fast={f}");
-        }
-        // And the default constructor stays Exact.
-        assert_eq!(Graph::new().precision(), Precision::Exact);
-    }
-
-    #[test]
-    #[should_panic(expected = "inference-only")]
-    fn fast_gelu_backward_panics() {
-        let a = random_matrix(3, 3, 312);
-        let mut g = Graph::with_precision(Precision::Fast);
-        let na = g.leaf(a);
-        let ge = g.gelu(na);
-        let m = g.mean_rows(ge);
-        let ones = g.leaf(Matrix::filled(1, 3, 1.0));
-        let loss = g.matmul_t(m, ones);
-        g.backward(loss);
-    }
-
-    /// On both precision tiers, routing a weight through pre-packed panels
-    /// must reproduce the tape-node matmul bit for bit — in both pack
-    /// orientations (W for `x·W`, Wᵀ-packed for `x·Wᵀ`).
-    #[test]
-    fn matmul_prepacked_matches_tape_matmul_bitwise() {
-        let x = random_matrix(5, 7, 320);
-        let w = random_matrix(7, 9, 321);
-        let wt = random_matrix(9, 7, 322);
-        for precision in [Precision::Exact, Precision::Fast] {
-            let mut g = Graph::with_precision(precision);
-            let nx = g.leaf(x.clone());
-            let nw = g.leaf(w.clone());
-            let nwt = g.leaf(wt.clone());
-            let via_tape = g.matmul(nx, nw);
-            let via_tape_t = g.matmul_t(nx, nwt);
-            let packed = PackedMatrix::pack(&w);
-            let packed_t = PackedMatrix::pack_transposed(&wt);
-            let via_pack = g.matmul_prepacked(nx, &packed);
-            let via_pack_t = g.matmul_prepacked(nx, &packed_t);
-            assert_eq!(g.value(via_tape).data(), g.value(via_pack).data());
-            assert_eq!(g.value(via_tape_t).data(), g.value(via_pack_t).data());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "inference-only")]
-    fn matmul_prepacked_backward_panics() {
-        let x = random_matrix(1, 3, 323);
-        let w = random_matrix(3, 1, 324);
-        let mut g = Graph::new();
-        let nx = g.leaf(x);
-        let packed = PackedMatrix::pack(&w);
-        let y = g.matmul_prepacked(nx, &packed);
-        g.backward(y);
-    }
-
-    /// Fast-tier layer norm (fused single-sweep row pass, SIMD-dispatched)
-    /// must track the Exact op within the fast tier's documented bounds.
-    #[test]
-    fn fast_layer_norm_tracks_exact_within_tolerance() {
-        let x = random_matrix(6, 13, 330);
-        let gain = random_matrix(1, 13, 331);
-        let bias = random_matrix(1, 13, 332);
-        let run = |precision: Precision| {
-            let mut g = Graph::with_precision(precision);
-            let nx = g.leaf(x.clone());
-            let ng = g.leaf(gain.clone());
-            let nb = g.leaf(bias.clone());
-            let y = g.layer_norm(nx, ng, nb);
-            g.take_value(y)
-        };
-        let exact = run(Precision::Exact);
-        let fast = run(Precision::Fast);
-        assert_eq!(exact.shape(), fast.shape());
-        for (e, f) in exact.data().iter().zip(fast.data()) {
-            assert!((e - f).abs() <= 1e-4, "exact={e} fast={f}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "inference-only")]
-    fn fast_layer_norm_backward_panics() {
-        let x = random_matrix(2, 3, 333);
-        let mut g = Graph::with_precision(Precision::Fast);
-        let nx = g.leaf(x);
-        let ng = g.leaf(Matrix::filled(1, 3, 1.0));
-        let nb = g.leaf(Matrix::zeros(1, 3));
-        let y = g.layer_norm(nx, ng, nb);
-        let m = g.mean_rows(y);
-        let ones = g.leaf(Matrix::filled(1, 3, 1.0));
-        let loss = g.matmul_t(m, ones);
-        g.backward(loss);
     }
 }

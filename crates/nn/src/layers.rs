@@ -43,17 +43,6 @@ impl Linear {
         g.add_row_broadcast(xw, b)
     }
 
-    /// Inference-only forward through the store's cached pre-packed weight
-    /// panels ([`ParamStore::prepacked`]): skips both the per-call weight
-    /// copy into the tape and the per-call panel pack, with per-element
-    /// arithmetic identical to [`Self::forward`] at the same precision.
-    pub fn forward_prepacked(&self, store: &ParamStore, g: &mut Graph, x: NodeId) -> NodeId {
-        let w = store.prepacked(self.w);
-        let xw = g.matmul_prepacked(x, &w);
-        let b = g.leaf_copied(store.value(self.b));
-        g.add_row_broadcast(xw, b)
-    }
-
     /// The weight parameter (for weight tying / inspection).
     pub fn weight(&self) -> ParamId {
         self.w
@@ -85,10 +74,6 @@ impl Embedding {
     }
 
     /// Gather embeddings for a token-id sequence, yielding `len x d`.
-    ///
-    /// On an inference (non-recording) binding no gradient ever flows back
-    /// to the table, so only the addressed rows are gathered as a leaf
-    /// instead of copying the whole `vocab x d` table into the tape.
     pub fn forward(
         &self,
         store: &ParamStore,
@@ -96,9 +81,6 @@ impl Embedding {
         binding: &mut Binding,
         ids: &[usize],
     ) -> NodeId {
-        if !binding.is_recording() {
-            return g.leaf_gather(store.value(self.table), ids);
-        }
         let table = store.bind(g, self.table, binding);
         g.select_rows(table, ids)
     }
@@ -140,6 +122,16 @@ impl LayerNorm {
         let gain = store.bind(g, self.gain, binding);
         let bias = store.bind(g, self.bias, binding);
         g.layer_norm(x, gain, bias)
+    }
+
+    /// The gain parameter.
+    pub fn gain(&self) -> ParamId {
+        self.gain
+    }
+
+    /// The bias parameter.
+    pub fn bias(&self) -> ParamId {
+        self.bias
     }
 }
 

@@ -2,6 +2,8 @@
 //!
 //! * [`graph`] — tape-based reverse-mode autograd over dense matrices, with
 //!   finite-difference-verified gradients for every op.
+//! * [`ops`] — each op's forward arithmetic, shared by the tape and the
+//!   PLM's tape-free inference forward.
 //! * [`params`] — parameter store with Adam, gradient clipping and seeded
 //!   initialization.
 //! * [`layers`] — linear / embedding / layer-norm modules over the tape.
@@ -15,6 +17,7 @@ pub mod attnpool;
 pub mod classifiers;
 pub mod graph;
 pub mod layers;
+pub mod ops;
 pub mod params;
 pub mod selftrain;
 

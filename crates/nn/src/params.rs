@@ -7,10 +7,7 @@
 
 use crate::graph::{Graph, NodeId};
 use rand::rngs::StdRng;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use structmine_linalg::{rng as lrng, Matrix, PackedMatrix};
-use structmine_store::obs;
+use structmine_linalg::{rng as lrng, Matrix};
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,24 +19,10 @@ pub struct ParamStore {
     values: Vec<Matrix>,
     names: Vec<String>,
     /// Weight-write generation. Every mutation entry point — [`Self::value_mut`],
-    /// [`Self::import_values`], and [`Adam::step`] — bumps it, and the pack
-    /// cache below is keyed on it, so a panel packed from an old value is
-    /// unreachable after any write: the next [`Self::prepacked`] call sees the
-    /// generation mismatch and drops the whole cache before repacking.
+    /// [`Self::import_values`], and [`Adam::step`] — bumps it, so a cache of
+    /// values derived from the weights (the PLM's packed-weight snapshot)
+    /// can key on it and never serve a value from before a write.
     generation: u64,
-    /// Cached pre-packed weight panels, shared with inference tapes via `Arc`
-    /// so an in-flight forward pass keeps its panels alive even if a
-    /// concurrent-looking write invalidates the cache between calls.
-    packs: Mutex<PackCache>,
-}
-
-/// Generation-keyed cache of [`PackedMatrix`] panels, one slot per parameter
-/// and orientation.
-#[derive(Default)]
-struct PackCache {
-    generation: u64,
-    normal: HashMap<usize, Arc<PackedMatrix>>,
-    transposed: HashMap<usize, Arc<PackedMatrix>>,
 }
 
 impl ParamStore {
@@ -80,8 +63,7 @@ impl ParamStore {
 
     /// Mutable value (for manual updates, e.g. embedding freezing).
     ///
-    /// Counts as a weight write: any cached pre-packed panels are
-    /// invalidated before the next [`Self::prepacked`] lookup.
+    /// Counts as a weight write: it bumps [`Self::generation`].
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
         self.note_weight_write();
         &mut self.values[id.0]
@@ -132,103 +114,31 @@ impl ParamStore {
         self.generation
     }
 
-    /// Record that parameter values may have changed. Cheap: the pack cache
-    /// is invalidated lazily, at the next [`Self::prepacked`] lookup.
+    /// Record that parameter values may have changed.
     fn note_weight_write(&mut self) {
         self.generation = self.generation.wrapping_add(1);
     }
 
-    /// The parameter's value pre-packed into panel layout for
-    /// [`Graph::matmul_prepacked`] (`x · W`). Packed once per weight
-    /// generation and cached; any write through [`Self::value_mut`],
-    /// [`Self::import_values`], or [`Adam::step`] drops the cache, so a
-    /// returned pack always reflects the current value.
-    pub fn prepacked(&self, id: ParamId) -> Arc<PackedMatrix> {
-        self.prepacked_inner(id, false)
-    }
-
-    /// Like [`Self::prepacked`], but packed for the transposed product
-    /// `x · Wᵀ` — e.g. a tied vocab table used as an output projection.
-    /// The orientation is baked into the panels, so the same
-    /// [`Graph::matmul_prepacked`] entry point consumes both kinds.
-    pub fn prepacked_t(&self, id: ParamId) -> Arc<PackedMatrix> {
-        self.prepacked_inner(id, true)
-    }
-
-    fn prepacked_inner(&self, id: ParamId, transposed: bool) -> Arc<PackedMatrix> {
-        let mut cache = self.packs.lock().unwrap_or_else(|e| e.into_inner());
-        if cache.generation != self.generation {
-            let stale = cache.normal.len() + cache.transposed.len();
-            if stale > 0 {
-                obs::counter_add("linalg.prepack.invalidations", stale as u64);
-            }
-            cache.normal.clear();
-            cache.transposed.clear();
-            cache.generation = self.generation;
-        }
-        let map = if transposed {
-            &mut cache.transposed
-        } else {
-            &mut cache.normal
-        };
-        Arc::clone(map.entry(id.0).or_insert_with(|| {
-            let v = &self.values[id.0];
-            Arc::new(if transposed {
-                PackedMatrix::pack_transposed(v)
-            } else {
-                PackedMatrix::pack(v)
-            })
-        }))
-    }
-
     /// Copy the parameter into `graph` as a leaf (through the graph's buffer
-    /// arena) and, on recording bindings, record the pairing for the
-    /// optimizer step.
+    /// arena) and record the pairing for the optimizer step.
     pub fn bind(&self, graph: &mut Graph, id: ParamId, binding: &mut Binding) -> NodeId {
         let node = graph.leaf_copied(&self.values[id.0]);
-        if binding.recording {
-            binding.pairs.push((id, node));
-        }
+        binding.pairs.push((id, node));
         node
     }
 }
 
 /// The `(parameter, graph leaf)` pairs of one training step.
+#[derive(Default)]
 pub struct Binding {
     pairs: Vec<(ParamId, NodeId)>,
-    recording: bool,
-}
-
-impl Default for Binding {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Binding {
     /// An empty binding that records parameter/leaf pairs for a later
     /// optimizer step.
     pub fn new() -> Self {
-        Binding {
-            pairs: Vec::new(),
-            recording: true,
-        }
-    }
-
-    /// A non-recording binding for forward-only passes: no pairs are kept
-    /// (nothing will read gradients), which lets layers take cheaper paths —
-    /// e.g. [`crate::layers::Embedding::forward`] gathers just the rows it
-    /// needs instead of copying the whole table into the tape.
-    pub fn inference() -> Self {
-        Binding {
-            pairs: Vec::new(),
-            recording: false,
-        }
-    }
-
-    /// Whether this binding records pairs (false for [`Binding::inference`]).
-    pub fn is_recording(&self) -> bool {
-        self.recording
+        Self::default()
     }
 
     /// Iterate over recorded pairs.
@@ -285,7 +195,7 @@ impl Adam {
     pub fn step(&mut self, store: &mut ParamStore, graph: &Graph, binding: &Binding) {
         self.t += 1;
         // The loop below writes store.values directly (bypassing value_mut),
-        // so invalidate any cached pre-packed panels here.
+        // so count the write here.
         store.note_weight_write();
         // A parameter may be bound into the tape several times (e.g. once
         // per sequence in a batch); its true gradient is the sum over all
@@ -427,34 +337,27 @@ mod tests {
         assert!(std_of(store.value(big)) < std_of(store.value(small)));
     }
 
-    /// Repeated prepack lookups between writes share one allocation; any
-    /// write entry point makes the next lookup repack from current values.
+    /// Every write entry point bumps the generation that derived-weight
+    /// caches key on; reads do not.
     #[test]
-    fn prepack_cache_shares_until_any_write_entry_point() {
+    fn every_write_entry_point_bumps_generation() {
         let mut store = ParamStore::new();
         let id = store.add("w", Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let a = store.prepacked(id);
-        let b = store.prepacked(id);
-        assert!(Arc::ptr_eq(&a, &b), "warm lookup must hit the cache");
-        let t = store.prepacked_t(id);
-        assert!(!Arc::ptr_eq(&a, &t), "orientations are distinct slots");
-
-        // value_mut invalidates even without an actual data change.
-        let gen_before = store.generation();
-        store.value_mut(id).set(0, 0, 9.0);
-        assert!(store.generation() > gen_before);
-        let c = store.prepacked(id);
-        assert!(!Arc::ptr_eq(&a, &c), "stale panels must not be reused");
-
-        // import_values invalidates.
+        let g0 = store.generation();
+        let _ = store.value(id);
         let snapshot = store.export_values();
-        let d = store.prepacked(id);
-        store.import_values(snapshot);
-        let e = store.prepacked(id);
-        assert!(!Arc::ptr_eq(&d, &e));
+        assert_eq!(store.generation(), g0, "reads must not bump");
 
-        // Adam::step invalidates (it writes store.values directly).
-        let f = store.prepacked(id);
+        // value_mut counts even without an actual data change.
+        store.value_mut(id);
+        let g1 = store.generation();
+        assert_ne!(g1, g0);
+
+        store.import_values(snapshot);
+        let g2 = store.generation();
+        assert_ne!(g2, g1);
+
+        // Adam::step writes store.values directly, so it must bump too.
         let mut adam = Adam::new(&store, 0.1, 0.0);
         let mut g = Graph::new();
         let mut binding = Binding::new();
@@ -465,50 +368,7 @@ mod tests {
         let loss = g.matmul(rowsum, ones_r);
         g.backward(loss);
         adam.step(&mut store, &g, &binding);
-        let h = store.prepacked(id);
-        assert!(!Arc::ptr_eq(&f, &h));
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        /// A weight write followed by a prepack lookup always yields panels
-        /// packed from the *current* value: multiplying through the cached
-        /// pack is bitwise identical to packing fresh from the raw matrix.
-        #[test]
-        fn prepack_after_write_matches_fresh_pack_bitwise(
-            vals in proptest::collection::vec(-2.0f32..2.0, 12),
-            write_at in proptest::collection::vec(0usize..12, 1..4),
-            write_vals in proptest::collection::vec(-2.0f32..2.0, 4),
-        ) {
-            let mut store = ParamStore::new();
-            let id = store.add("w", Matrix::from_vec(3, 4, vals));
-            // Warm the cache, then mutate through value_mut.
-            let _warm = store.prepacked(id);
-            let _warm_t = store.prepacked_t(id);
-            for (&i, &v) in write_at.iter().zip(&write_vals) {
-                store.value_mut(id).set(i / 4, i % 4, v);
-            }
-            let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0]]);
-            let mut got = Matrix::zeros(1, 4);
-            x.matmul_prepacked_into(&store.prepacked(id), &mut got);
-            let fresh = PackedMatrix::pack(store.value(id));
-            let mut want = Matrix::zeros(1, 4);
-            x.matmul_prepacked_into(&fresh, &mut want);
-            for (a, b) in got.data().iter().zip(want.data()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            // Transposed orientation: x (1×4) · Wᵀ (4×3).
-            let xt = Matrix::from_rows(&[&[0.5, -1.0, 2.0, 0.25]]);
-            let mut got_t = Matrix::zeros(1, 3);
-            xt.matmul_prepacked_into(&store.prepacked_t(id), &mut got_t);
-            let fresh_t = PackedMatrix::pack_transposed(store.value(id));
-            let mut want_t = Matrix::zeros(1, 3);
-            xt.matmul_prepacked_into(&fresh_t, &mut want_t);
-            for (a, b) in got_t.data().iter().zip(want_t.data()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
+        assert_ne!(store.generation(), g2);
     }
 
     #[test]

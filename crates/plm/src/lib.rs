@@ -21,6 +21,7 @@
 pub mod artifacts;
 pub mod cache;
 pub mod config;
+mod infer;
 pub mod model;
 pub mod pretrain;
 pub mod prompt;

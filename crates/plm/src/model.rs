@@ -11,113 +11,22 @@
 //! per tape and accumulate several sequence losses before the Adam step.
 
 use crate::config::PlmConfig;
-use std::sync::{Arc, Mutex};
-use structmine_linalg::{vector, Matrix, PackedMatrix, Precision};
+use crate::infer::{self, PackedWeights};
+use std::sync::{Arc, Mutex, PoisonError};
+use structmine_linalg::{vector, Matrix, Precision};
 use structmine_nn::graph::{Graph, NodeId};
 use structmine_nn::layers::{Embedding, LayerNorm, Linear};
 use structmine_nn::params::{Adam, Binding, ParamStore};
 use structmine_text::vocab::{TokenId, CLS, SEP};
 
-/// The fused QKV projection of one block, pre-packed for the inference
-/// matmul: the concatenated `d_model x 3*d_model` weight in panel layout
-/// plus its `1 x 3*d_model` bias.
-struct FusedQkv {
-    packed: PackedMatrix,
-    bias: Matrix,
-}
-
-struct Block {
-    ln1: LayerNorm,
-    // Per-head projection triples (q, k, v), each `d_model x d_head`.
-    heads: Vec<(Linear, Linear, Linear)>,
-    wo: Linear,
-    ln2: LayerNorm,
-    ff1: Linear,
-    ff2: Linear,
-    /// Fused QKV weight, keyed by the store's weight-write generation so a
-    /// training step can't leave it stale (the derived matrix lives outside
-    /// the store, so the store's own pack cache can't cover it). `Arc` lets
-    /// concurrent encodes share one build; `Mutex` (not `RefCell`) keeps
-    /// the model `Sync` for the exec layer's worker threads.
-    qkv_cache: Mutex<Option<(u64, Arc<FusedQkv>)>>,
-}
-
-impl Block {
-    /// Concatenate the per-head q/k/v projection weights and biases
-    /// column-wise into one `d_model x 3*d_model` weight (head-major
-    /// `[q_h | k_h | v_h]` triples) plus its `1 x 3*d_model` bias, so the
-    /// inference path can run one wide matmul instead of `3 * n_heads`
-    /// narrow ones. Each fused output element is the same ascending-`k` dot
-    /// product the per-head matmuls compute, so results are bitwise
-    /// identical.
-    fn fused_qkv(&self, store: &ParamStore) -> (Matrix, Matrix) {
-        let first = store.value(self.heads[0].0.weight());
-        let (d_in, dh) = first.shape();
-        let total = self.heads.len() * 3 * dh;
-        let mut w = Matrix::zeros(d_in, total);
-        let mut b = Matrix::zeros(1, total);
-        for (h, (wq, wk, wv)) in self.heads.iter().enumerate() {
-            for (slot, lin) in [wq, wk, wv].into_iter().enumerate() {
-                let off = (h * 3 + slot) * dh;
-                let src = store.value(lin.weight());
-                for r in 0..d_in {
-                    w.row_mut(r)[off..off + dh].copy_from_slice(src.row(r));
-                }
-                b.row_mut(0)[off..off + dh].copy_from_slice(store.value(lin.bias()).row(0));
-            }
-        }
-        (w, b)
-    }
-
-    /// The fused QKV projection, concatenated and pre-packed once per
-    /// weight-write generation. A stale entry (generation mismatch after a
-    /// training step) is dropped and rebuilt from current per-head values,
-    /// so the cache can never serve panels from overwritten weights.
-    fn fused_qkv_prepacked(&self, store: &ParamStore) -> Arc<FusedQkv> {
-        let mut cache = self.qkv_cache.lock().unwrap_or_else(|e| e.into_inner());
-        let generation = store.generation();
-        if let Some((cached_gen, fused)) = cache.as_ref() {
-            if *cached_gen == generation {
-                return Arc::clone(fused);
-            }
-            structmine_store::obs::counter_add("linalg.prepack.invalidations", 1);
-        }
-        let (w, b) = self.fused_qkv(store);
-        let fused = Arc::new(FusedQkv {
-            packed: PackedMatrix::pack(&w),
-            bias: b,
-        });
-        *cache = Some((generation, Arc::clone(&fused)));
-        fused
-    }
-}
-
-thread_local! {
-    /// Per-thread scratch tape shared by the no-gradient inference entry
-    /// points. A serving thread (e.g. the serve batcher) runs many forward
-    /// passes over its lifetime; holding one tape and [`Graph::reset_to`]-ing
-    /// it between passes keeps the node vector's capacity (and, via the
-    /// arena, every buffer) alive across batches instead of re-allocating
-    /// per document. Reuse is bitwise transparent — property-tested in
-    /// `structmine-nn` — and surfaced as `plm.graph_scratch_reuse`.
-    static SCRATCH: std::cell::RefCell<Graph> = std::cell::RefCell::new(Graph::new());
-}
-
-/// Run `f` on this thread's persistent scratch tape, reset to `precision`.
-/// The tape is reset again afterwards so every node buffer returns to the
-/// arena immediately. `f` must not re-enter any scratch-using inference
-/// entry point (single tape per thread).
-fn with_scratch_graph<R>(precision: Precision, f: impl FnOnce(&mut Graph) -> R) -> R {
-    SCRATCH.with(|s| {
-        let mut g = s.borrow_mut();
-        if g.node_capacity() > 0 {
-            structmine_store::obs::counter_add("plm.graph_scratch_reuse", 1);
-        }
-        g.reset_to(precision);
-        let out = f(&mut g);
-        g.reset();
-        out
-    })
+pub(crate) struct Block {
+    pub(crate) ln1: LayerNorm,
+    /// Per-head projection triples (q, k, v), each `d_model x d_head`.
+    pub(crate) heads: Vec<(Linear, Linear, Linear)>,
+    pub(crate) wo: Linear,
+    pub(crate) ln2: LayerNorm,
+    pub(crate) ff1: Linear,
+    pub(crate) ff2: Linear,
 }
 
 /// The mini pre-trained language model.
@@ -125,13 +34,17 @@ pub struct MiniPlm {
     /// Architecture.
     pub config: PlmConfig,
     store: ParamStore,
-    tok: Embedding,
-    pos: Embedding,
-    blocks: Vec<Block>,
-    ln_final: LayerNorm,
-    mlm_bias: structmine_nn::params::ParamId,
-    rtd: Linear,
-    nli: Linear,
+    pub(crate) tok: Embedding,
+    pub(crate) pos: Embedding,
+    pub(crate) blocks: Vec<Block>,
+    pub(crate) ln_final: LayerNorm,
+    pub(crate) mlm_bias: structmine_nn::params::ParamId,
+    pub(crate) rtd: Linear,
+    pub(crate) nli: Linear,
+    /// The inference forward's packed weights: one snapshot, rebuilt when
+    /// the store's weight generation moves past it, so a weight write can
+    /// never be served stale panels.
+    packed: Mutex<Option<Arc<PackedWeights>>>,
 }
 
 impl MiniPlm {
@@ -206,7 +119,6 @@ impl MiniPlm {
                         config.d_model,
                         &mut rng,
                     ),
-                    qkv_cache: Mutex::new(None),
                 }
             })
             .collect();
@@ -224,6 +136,7 @@ impl MiniPlm {
             mlm_bias,
             rtd,
             nli,
+            packed: Mutex::new(None),
         }
     }
 
@@ -268,23 +181,35 @@ impl MiniPlm {
         self.store.import_values(weights);
     }
 
-    /// Eagerly build every pre-packed weight the inference paths consume
-    /// (fused QKV per block, output/FFN projections, the transposed token
-    /// table for tied MLM logits, and the RTD/NLI heads), so the first
-    /// serving request pays no packing cost. Idempotent and cheap when
-    /// already packed: warm calls are cache hits. Weight writes after this
-    /// call invalidate the caches; the panels are lazily rebuilt at next
-    /// use, so calling this again afterwards is optional.
+    /// Eagerly build the packed-weight snapshot the inference forward
+    /// reads (fused QKV per block, output/FFN projections, the transposed
+    /// token table for tied MLM logits, and the RTD/NLI heads), so the
+    /// first serving request pays no packing cost. Idempotent and cheap
+    /// when already packed. A weight write after this call makes the next
+    /// forward pass rebuild the snapshot, so calling this again afterwards
+    /// is optional.
     pub fn prepack_weights(&self) {
-        for block in &self.blocks {
-            block.fused_qkv_prepacked(&self.store);
-            self.store.prepacked(block.wo.weight());
-            self.store.prepacked(block.ff1.weight());
-            self.store.prepacked(block.ff2.weight());
+        self.packed_weights();
+    }
+
+    /// The packed-weight snapshot at the store's current generation,
+    /// rebuilt (counting `linalg.prepack.invalidations` for every matrix
+    /// of the stale one) when a weight write moved the generation on.
+    pub(crate) fn packed_weights(&self) -> Arc<PackedWeights> {
+        // The slot is only ever replaced whole, so a panic elsewhere
+        // cannot leave it half-written.
+        let mut slot = self.packed.lock().unwrap_or_else(PoisonError::into_inner);
+        match slot.as_ref() {
+            Some(p) if p.generation == self.store.generation() => return Arc::clone(p),
+            Some(stale) => structmine_store::obs::counter_add(
+                "linalg.prepack.invalidations",
+                stale.len() as u64,
+            ),
+            None => {}
         }
-        self.store.prepacked_t(self.tok.table());
-        self.store.prepacked(self.rtd.weight());
-        self.store.prepacked(self.nli.weight());
+        let fresh = Arc::new(PackedWeights::build(self));
+        *slot = Some(Arc::clone(&fresh));
+        fresh
     }
 
     /// Build an [`Adam`] optimizer for this model.
@@ -322,48 +247,33 @@ impl MiniPlm {
         BoundPlm { model: self }
     }
 
-    /// Run a no-gradient forward pass, returning the final hidden states
-    /// (`len x d_model`).
-    pub fn encode(&self, tokens: &[TokenId]) -> Matrix {
-        self.encode_prec(tokens, Precision::Exact)
-    }
-
-    /// [`MiniPlm::encode`] at an explicit precision tier: the tier selects
-    /// the tape the forward pass records on (Exact tapes are bitwise
-    /// reproducible; Fast tapes use the approximate inference kernels).
-    pub fn encode_prec(&self, tokens: &[TokenId], precision: Precision) -> Matrix {
-        with_scratch_graph(precision, |g| {
-            let bound = self.bound();
-            let h = bound.encode(g, tokens);
-            g.take_value(h)
-        })
+    /// Run a no-gradient forward pass over an already wrapped sequence,
+    /// returning the final hidden states (`len x d_model`). The tier
+    /// selects the kernels: Exact output is bitwise reproducible (and equal
+    /// to the training tape's); Fast uses the approximate inference
+    /// kernels.
+    pub fn encode(&self, tokens: &[TokenId], precision: Precision) -> Matrix {
+        infer::encode(self, tokens, precision)
     }
 
     /// MLM distribution at `position` of the (already wrapped) sequence.
-    pub fn mlm_probs(&self, tokens: &[TokenId], position: usize) -> Vec<f32> {
-        with_scratch_graph(Precision::Exact, |g| {
-            let bound = self.bound();
-            let h = bound.encode(g, tokens);
-            let logits = bound.mlm_logits(g, h, &[position]);
-            let mut probs = g.value(logits).row(0).to_vec();
-            structmine_linalg::stats::softmax_inplace(&mut probs);
-            probs
-        })
+    pub fn mlm_probs(&self, tokens: &[TokenId], position: usize, precision: Precision) -> Vec<f32> {
+        let h = self.encode(tokens, precision);
+        let mut probs = infer::mlm_logits(self, &h, &[position], precision).into_vec();
+        infer::softmax(&mut probs, precision);
+        probs
     }
 
     /// Top-`k` MLM predictions `(token, prob)` at `position`, excluding
     /// special tokens.
-    pub fn mlm_topk(&self, tokens: &[TokenId], position: usize, k: usize) -> Vec<(TokenId, f32)> {
-        let probs = self.mlm_probs(tokens, position);
-        let mut scored: Vec<(TokenId, f32)> = probs
-            .iter()
-            .enumerate()
-            .skip(structmine_text::vocab::N_SPECIAL)
-            .map(|(t, &p)| (t as TokenId, p))
-            .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        scored.truncate(k);
-        scored
+    pub fn mlm_topk(
+        &self,
+        tokens: &[TokenId],
+        position: usize,
+        k: usize,
+        precision: Precision,
+    ) -> Vec<(TokenId, f32)> {
+        top_k(&self.mlm_probs(tokens, position, precision), k)
     }
 
     /// Top-`k` MLM predictions at several positions with a single encode.
@@ -372,89 +282,52 @@ impl MiniPlm {
         tokens: &[TokenId],
         positions: &[usize],
         k: usize,
+        precision: Precision,
     ) -> Vec<Vec<(TokenId, f32)>> {
         if positions.is_empty() {
             return Vec::new();
         }
-        with_scratch_graph(Precision::Exact, |g| {
-            let bound = self.bound();
-            let h = bound.encode(g, tokens);
-            let logits = bound.mlm_logits(g, h, positions);
-            (0..positions.len())
-                .map(|r| {
-                    let mut probs = g.value(logits).row(r).to_vec();
-                    structmine_linalg::stats::softmax_inplace(&mut probs);
-                    let mut scored: Vec<(TokenId, f32)> = probs
-                        .iter()
-                        .enumerate()
-                        .skip(structmine_text::vocab::N_SPECIAL)
-                        .map(|(t, &p)| (t as TokenId, p))
-                        .collect();
-                    scored
-                        .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-                    scored.truncate(k);
-                    scored
-                })
-                .collect()
-        })
+        let h = self.encode(tokens, precision);
+        let mut logits = infer::mlm_logits(self, &h, positions, precision);
+        (0..positions.len())
+            .map(|r| {
+                let probs = logits.row_mut(r);
+                infer::softmax(probs, precision);
+                top_k(probs, k)
+            })
+            .collect()
     }
 
     /// Per-position replaced-token probabilities for a wrapped sequence
     /// (sigmoid of the RTD head).
-    pub fn rtd_probs(&self, tokens: &[TokenId]) -> Vec<f32> {
-        self.rtd_probs_prec(tokens, Precision::Exact)
-    }
-
-    /// [`MiniPlm::rtd_probs`] at an explicit precision tier.
-    pub fn rtd_probs_prec(&self, tokens: &[TokenId], precision: Precision) -> Vec<f32> {
-        with_scratch_graph(precision, |g| {
-            let bound = self.bound();
-            let h = bound.encode(g, tokens);
-            let logits = bound.rtd_logits(g, h);
-            let sig = |z: f32| match precision {
-                Precision::Exact => 1.0 / (1.0 + (-z).exp()),
-                Precision::Fast => 1.0 / (1.0 + structmine_linalg::fastmath::fast_exp(-z)),
-            };
-            g.value(logits).data().iter().map(|&z| sig(z)).collect()
-        })
+    pub fn rtd_probs(&self, tokens: &[TokenId], precision: Precision) -> Vec<f32> {
+        let h = self.encode(tokens, precision);
+        let logits = infer::rtd_logits(self, &h, precision);
+        logits
+            .data()
+            .iter()
+            .map(|&z| infer::sigmoid(z, precision))
+            .collect()
     }
 
     /// Probability that `premise` entails `hypothesis` under the NLI head.
-    pub fn nli_entail_prob(&self, premise: &[TokenId], hypothesis: &[TokenId]) -> f32 {
-        self.nli_entail_prob_prec(premise, hypothesis, Precision::Exact)
-    }
-
-    /// [`MiniPlm::nli_entail_prob`] at an explicit precision tier.
-    pub fn nli_entail_prob_prec(
+    pub fn nli_entail_prob(
         &self,
         premise: &[TokenId],
         hypothesis: &[TokenId],
         precision: Precision,
     ) -> f32 {
-        let seq = self.wrap_pair(premise, hypothesis);
-        with_scratch_graph(precision, |g| {
-            let bound = self.bound();
-            let h = bound.encode(g, &seq);
-            let logits = bound.nli_logits(g, h);
-            let mut probs = g.value(logits).row(0).to_vec();
-            match precision {
-                Precision::Exact => structmine_linalg::stats::softmax_inplace(&mut probs),
-                Precision::Fast => structmine_linalg::stats::softmax_inplace_fast(&mut probs),
-            }
-            probs[1]
-        })
+        let h = self.encode(&self.wrap_pair(premise, hypothesis), precision);
+        let mut probs = infer::nli_logits(self, &h, precision).into_vec();
+        infer::softmax(&mut probs, precision);
+        probs[1]
     }
 
     /// Average of the final hidden states over real (non-CLS/SEP) positions —
     /// the "average-pooled BERT representation" of the tutorial's figures.
-    pub fn mean_embed(&self, tokens: &[TokenId]) -> Vec<f32> {
-        self.mean_embed_prec(tokens, Precision::Exact)
-    }
-
-    /// [`MiniPlm::mean_embed`] at an explicit precision tier.
-    pub fn mean_embed_prec(&self, tokens: &[TokenId], precision: Precision) -> Vec<f32> {
+    pub fn mean_embed(&self, tokens: &[TokenId], precision: Precision) -> Vec<f32> {
         let seq = self.wrap(tokens);
-        let h = self.encode_prec(&seq, precision);
+        let h = self.encode(&seq, precision);
         let rows: Vec<&[f32]> = (1..seq.len() - 1).map(|i| h.row(i)).collect();
         if rows.is_empty() {
             return h.row(0).to_vec();
@@ -470,37 +343,45 @@ impl MiniPlm {
     }
 
     /// The `[CLS]` hidden state of a wrapped sequence.
-    pub fn cls_embed(&self, tokens: &[TokenId]) -> Vec<f32> {
+    pub fn cls_embed(&self, tokens: &[TokenId], precision: Precision) -> Vec<f32> {
         let seq = self.wrap(tokens);
-        self.encode(&seq).row(0).to_vec()
+        self.encode(&seq, precision).row(0).to_vec()
     }
 }
 
+/// The `k` most probable non-special tokens of an MLM distribution.
+fn top_k(probs: &[f32], k: usize) -> Vec<(TokenId, f32)> {
+    let mut scored: Vec<(TokenId, f32)> = probs
+        .iter()
+        .enumerate()
+        .skip(structmine_text::vocab::N_SPECIAL)
+        .map(|(t, &p)| (t as TokenId, p))
+        .collect();
+    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    scored.truncate(k);
+    scored
+}
+
 // Inference shares one model immutably (`&self` + `Arc`) across the exec
-// layer's worker threads; that is sound only while every forward pass keeps
-// its mutable state inside the per-call `Graph`. This assertion turns any
-// future interior mutability in the model/store into a compile error.
+// layer's worker threads; the only state a forward pass touches besides
+// its per-thread scratch is the `Mutex`-guarded packed-weight slot. This
+// assertion turns any unsynchronized interior mutability into a compile
+// error.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MiniPlm>();
 };
 
-/// Forward-pass handle over a [`MiniPlm`]'s parameters. Parameters are
-/// bound lazily inside each forward call; the training path records the
-/// `(param, leaf)` pairs in the caller's [`Binding`].
+/// Recording forward-pass handle over a [`MiniPlm`]'s parameters: the
+/// training path, and the reference the tape-free inference forward is
+/// tested against. Parameters are bound inside each forward call, and the
+/// `(param, leaf)` pairs are recorded in the caller's [`Binding`].
 pub struct BoundPlm<'m> {
     model: &'m MiniPlm,
 }
 
 impl BoundPlm<'_> {
-    /// Encode a wrapped sequence to final hidden states (`len x d`). Uses a
-    /// non-recording binding, so the embedding lookup gathers only the
-    /// addressed rows instead of copying the full table into the tape.
-    pub fn encode(&self, g: &mut Graph, tokens: &[TokenId]) -> NodeId {
-        self.encode_with_binding(g, &mut Binding::inference(), tokens)
-    }
-
-    /// Encode while recording parameter bindings (training path).
+    /// Encode a wrapped sequence to final hidden states (`len x d`).
     pub fn encode_with_binding(
         &self,
         g: &mut Graph,
@@ -519,69 +400,30 @@ impl BoundPlm<'_> {
         for block in &m.blocks {
             let normed = block.ln1.forward(&m.store, g, binding, x);
             let mut ctxs = Vec::with_capacity(m.config.n_heads);
-            if binding.is_recording() {
-                for (wq, wk, wv) in &block.heads {
-                    let q = wq.forward(&m.store, g, binding, normed);
-                    let k = wk.forward(&m.store, g, binding, normed);
-                    let v = wv.forward(&m.store, g, binding, normed);
-                    // q·kᵀ without materializing the transpose, then the
-                    // 1/sqrt(d_head) scale fused into the softmax node.
-                    let scores = g.matmul_t(q, k);
-                    let attn = g.scaled_row_softmax(scores, scale);
-                    ctxs.push(g.matmul(attn, v));
-                }
-            } else {
-                // Inference: one wide fused QKV matmul replaces the
-                // 3*n_heads narrow per-head projections (same bits, far
-                // better kernel efficiency); heads become column slices.
-                // The fused weight arrives pre-packed from the block's
-                // generation-keyed cache, so the per-call concatenate and
-                // pack both disappear from the hot path.
-                let fused = block.fused_qkv_prepacked(&m.store);
-                let bnode = g.leaf_copied(&fused.bias);
-                let proj = g.matmul_prepacked(normed, &fused.packed);
-                let qkv = g.add_row_broadcast(proj, bnode);
-                let dh = m.config.d_head();
-                for h in 0..m.config.n_heads {
-                    let q = g.select_cols(qkv, (h * 3) * dh, dh);
-                    let k = g.select_cols(qkv, (h * 3 + 1) * dh, dh);
-                    let v = g.select_cols(qkv, (h * 3 + 2) * dh, dh);
-                    let scores = g.matmul_t(q, k);
-                    let attn = g.scaled_row_softmax(scores, scale);
-                    ctxs.push(g.matmul(attn, v));
-                }
+            for (wq, wk, wv) in &block.heads {
+                let q = wq.forward(&m.store, g, binding, normed);
+                let k = wk.forward(&m.store, g, binding, normed);
+                let v = wv.forward(&m.store, g, binding, normed);
+                // q·kᵀ without materializing the transpose, then the
+                // 1/sqrt(d_head) scale fused into the softmax node.
+                let scores = g.matmul_t(q, k);
+                let attn = g.scaled_row_softmax(scores, scale);
+                ctxs.push(g.matmul(attn, v));
             }
             let ctx = g.concat_cols(&ctxs);
-            let attn_out = self.linear(g, binding, &block.wo, ctx);
+            let attn_out = block.wo.forward(&m.store, g, binding, ctx);
             x = g.add(x, attn_out);
             let normed2 = block.ln2.forward(&m.store, g, binding, x);
-            let f1 = self.linear(g, binding, &block.ff1, normed2);
+            let f1 = block.ff1.forward(&m.store, g, binding, normed2);
             let act = g.gelu(f1);
-            let f2 = self.linear(g, binding, &block.ff2, act);
+            let f2 = block.ff2.forward(&m.store, g, binding, act);
             x = g.add(x, f2);
         }
         m.ln_final.forward(&m.store, g, binding, x)
     }
 
-    /// Apply a [`Linear`], routing non-recording (inference) passes through
-    /// the store's cached pre-packed weight panels. Per-element arithmetic
-    /// is identical either way, so Exact-tier outputs stay bitwise equal to
-    /// the recording path.
-    fn linear(&self, g: &mut Graph, binding: &mut Binding, lin: &Linear, x: NodeId) -> NodeId {
-        if binding.is_recording() {
-            lin.forward(&self.model.store, g, binding, x)
-        } else {
-            lin.forward_prepacked(&self.model.store, g, x)
-        }
-    }
-
     /// MLM logits at the given positions: `positions.len() x vocab`, using
     /// the tied token-embedding matrix plus the output bias.
-    pub fn mlm_logits(&self, g: &mut Graph, hidden: NodeId, positions: &[usize]) -> NodeId {
-        self.mlm_logits_with_binding(g, &mut Binding::inference(), hidden, positions)
-    }
-
-    /// MLM logits recording bindings (training path).
     pub fn mlm_logits_with_binding(
         &self,
         g: &mut Graph,
@@ -591,15 +433,6 @@ impl BoundPlm<'_> {
     ) -> NodeId {
         let m = self.model;
         let sel = g.select_rows(hidden, positions);
-        if !binding.is_recording() {
-            // Tied output projection against the pre-packed (transposed)
-            // token table: skips copying the full `vocab x d` table into
-            // the tape on every call, with identical per-element bits.
-            let packed = m.store.prepacked_t(m.tok.table());
-            let logits = g.matmul_prepacked(sel, &packed);
-            let bias = g.leaf_copied(m.store.value(m.mlm_bias));
-            return g.add_row_broadcast(logits, bias);
-        }
         let table = m.tok.bind_table(&m.store, g, binding);
         let logits = g.matmul_t(sel, table);
         let bias = m.store.bind(g, m.mlm_bias, binding);
@@ -607,27 +440,18 @@ impl BoundPlm<'_> {
     }
 
     /// RTD logits: one scalar per position (`len x 1`).
-    pub fn rtd_logits(&self, g: &mut Graph, hidden: NodeId) -> NodeId {
-        self.rtd_logits_with_binding(g, &mut Binding::inference(), hidden)
-    }
-
-    /// RTD logits recording bindings.
     pub fn rtd_logits_with_binding(
         &self,
         g: &mut Graph,
         binding: &mut Binding,
         hidden: NodeId,
     ) -> NodeId {
-        let rtd = self.model.rtd;
-        self.linear(g, binding, &rtd, hidden)
+        self.model
+            .rtd
+            .forward(&self.model.store, g, binding, hidden)
     }
 
     /// NLI logits from the `[CLS]` row (`1 x 2`; class 1 = entail).
-    pub fn nli_logits(&self, g: &mut Graph, hidden: NodeId) -> NodeId {
-        self.nli_logits_with_binding(g, &mut Binding::inference(), hidden)
-    }
-
-    /// NLI logits recording bindings.
     pub fn nli_logits_with_binding(
         &self,
         g: &mut Graph,
@@ -635,14 +459,15 @@ impl BoundPlm<'_> {
         hidden: NodeId,
     ) -> NodeId {
         let cls = g.select_rows(hidden, &[0]);
-        let nli = self.model.nli;
-        self.linear(g, binding, &nli, cls)
+        self.model.nli.forward(&self.model.store, g, binding, cls)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const EXACT: Precision = Precision::Exact;
 
     fn model() -> MiniPlm {
         MiniPlm::new(PlmConfig::tiny(50))
@@ -654,7 +479,7 @@ mod tests {
         let seq = m.wrap(&[7, 8, 9]);
         assert_eq!(seq.first(), Some(&CLS));
         assert_eq!(seq.last(), Some(&SEP));
-        let h = m.encode(&seq);
+        let h = m.encode(&seq, EXACT);
         assert_eq!(h.shape(), (5, m.config.d_model));
     }
 
@@ -680,7 +505,7 @@ mod tests {
     fn mlm_probs_are_a_distribution() {
         let m = model();
         let seq = m.wrap(&[7, structmine_text::vocab::MASK, 9]);
-        let probs = m.mlm_probs(&seq, 2);
+        let probs = m.mlm_probs(&seq, 2, EXACT);
         assert_eq!(probs.len(), 50);
         let sum: f32 = probs.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
@@ -690,58 +515,75 @@ mod tests {
     fn mlm_topk_excludes_special_tokens() {
         let m = model();
         let seq = m.wrap(&[7, structmine_text::vocab::MASK]);
-        let top = m.mlm_topk(&seq, 2, 10);
+        let top = m.mlm_topk(&seq, 2, 10, EXACT);
         assert_eq!(top.len(), 10);
         assert!(top
             .iter()
             .all(|&(t, _)| t >= structmine_text::vocab::N_SPECIAL as u32));
+        assert_eq!(m.mlm_topk_multi(&seq, &[2], 10, EXACT), vec![top]);
     }
 
+    /// The tape-free forward (fused QKV, packed weights, no tape) must
+    /// reproduce the recording training path bit for bit at the Exact tier:
+    /// hidden states and all three heads. Sequences on both sides of the
+    /// per-call pack threshold cover both product paths.
     #[test]
     fn fused_inference_encode_matches_recording_path_bitwise() {
-        // The inference path runs one fused QKV matmul per block instead of
-        // 3 * n_heads per-head projections; both must produce the exact
-        // same bits (the fused product computes each element with the same
-        // ascending-k summation order).
         let m = model();
-        let seq = m.wrap(&[7, 8, 9, 12, 30, 31, 9, 7]);
-        let bound = m.bound();
-        let mut g = Graph::new();
-        let inference = bound.encode(&mut g, &seq);
-        let inference = g.take_value(inference);
-        let mut g2 = Graph::new();
-        let mut binding = Binding::new();
-        let recording = bound.encode_with_binding(&mut g2, &mut binding, &seq);
-        let recording = g2.take_value(recording);
-        assert_eq!(
-            inference.data(),
-            recording.data(),
-            "fused inference encode diverged from the training path"
-        );
+        for body in [&[7u32, 8, 9][..], &[7, 8, 9, 12, 30, 31, 9, 7, 14, 15]] {
+            let seq = m.wrap(body);
+            let positions = [1, seq.len() - 2];
+            let bound = m.bound();
+            let mut g = Graph::new();
+            let mut binding = Binding::new();
+            let h = bound.encode_with_binding(&mut g, &mut binding, &seq);
+            let mlm = bound.mlm_logits_with_binding(&mut g, &mut binding, h, &positions);
+            let rtd = bound.rtd_logits_with_binding(&mut g, &mut binding, h);
+            let nli = bound.nli_logits_with_binding(&mut g, &mut binding, h);
+
+            let hidden = m.encode(&seq, EXACT);
+            assert_eq!(
+                hidden.data(),
+                g.value(h).data(),
+                "tape-free encode diverged from the training path"
+            );
+            assert_eq!(
+                infer::mlm_logits(&m, &hidden, &positions, EXACT).data(),
+                g.value(mlm).data()
+            );
+            assert_eq!(
+                infer::rtd_logits(&m, &hidden, EXACT).data(),
+                g.value(rtd).data()
+            );
+            assert_eq!(
+                infer::nli_logits(&m, &hidden, EXACT).data(),
+                g.value(nli).data()
+            );
+        }
     }
 
     #[test]
     fn weight_write_after_prepack_never_serves_stale_panels() {
-        // Warm every pack cache (fused QKV, projections, tied table), then
-        // mutate weights through the store. Encodes after the write must
-        // match a fresh never-prepacked model bitwise — the caches may not
-        // serve panels from the overwritten values.
+        // Build the packed-weight snapshot, then mutate weights through the
+        // store. Encodes after the write must match a freshly imported,
+        // never-prepacked model bitwise — the snapshot may not serve panels
+        // from the overwritten values.
         let mut m = model();
         let seq = m.wrap(&[7, 8, 9, 12]);
         m.prepack_weights();
-        let warm = m.encode(&seq);
+        let warm = m.encode(&seq, EXACT);
         for pid in [m.blocks[0].ff1.weight(), m.blocks[0].heads[0].0.weight()] {
             let w = m.store.value_mut(pid);
             let v = w.get(0, 0);
             w.set(0, 0, v + 0.5);
         }
-        let after = m.encode(&seq);
+        let after = m.encode(&seq, EXACT);
         assert_ne!(warm.data(), after.data(), "write had no effect on encode");
         let mut fresh = MiniPlm::new(m.config);
         fresh.import_weights(m.export_weights());
         assert_eq!(
             after.data(),
-            fresh.encode(&seq).data(),
+            fresh.encode(&seq, EXACT).data(),
             "prepacked encode after a weight write diverged from fresh model"
         );
     }
@@ -750,8 +592,8 @@ mod tests {
     fn contextual_representations_depend_on_context() {
         let m = model();
         // Token 9 in two different contexts must embed differently.
-        let a = m.encode(&m.wrap(&[9, 7, 7]));
-        let b = m.encode(&m.wrap(&[9, 30, 31]));
+        let a = m.encode(&m.wrap(&[9, 7, 7]), EXACT);
+        let b = m.encode(&m.wrap(&[9, 30, 31]), EXACT);
         let dist = vector::sq_dist(a.row(1), b.row(1));
         assert!(dist > 1e-4, "contextual reps identical: {dist}");
     }
@@ -760,10 +602,10 @@ mod tests {
     fn rtd_and_nli_heads_produce_valid_outputs() {
         let m = model();
         let seq = m.wrap(&[5, 6, 7]);
-        let rtd = m.rtd_probs(&seq);
+        let rtd = m.rtd_probs(&seq, EXACT);
         assert_eq!(rtd.len(), seq.len());
         assert!(rtd.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        let e = m.nli_entail_prob(&[5, 6, 7], &[8, 9]);
+        let e = m.nli_entail_prob(&[5, 6, 7], &[8, 9], EXACT);
         assert!((0.0..=1.0).contains(&e));
     }
 
@@ -771,30 +613,38 @@ mod tests {
     fn forward_is_deterministic() {
         let m = model();
         let seq = m.wrap(&[5, 9, 13]);
-        assert_eq!(m.encode(&seq).data(), m.encode(&seq).data());
+        assert_eq!(m.encode(&seq, EXACT).data(), m.encode(&seq, EXACT).data());
     }
 
+    /// The Fast tier tracks the Exact tier through the whole forward pass
+    /// and every head, and the per-thread scratch carries nothing between
+    /// passes: interleaving tiers and lengths on one thread reproduces each
+    /// pass bit for bit.
     #[test]
-    fn scratch_tape_is_reused_across_forward_passes() {
-        // Two encodes on one thread must share the scratch tape (counted
-        // by plm.graph_scratch_reuse) and still agree bit for bit, and the
-        // tape must switch tiers cleanly between passes.
+    fn fast_infer_tracks_exact_and_scratch_reuse_is_transparent() {
         let m = model();
-        let seq = m.wrap(&[5, 9, 13, 21]);
-        let first = m.encode(&seq);
-        let before = structmine_store::obs::counter_value("plm.graph_scratch_reuse");
-        let second = m.encode(&seq);
-        assert!(
-            structmine_store::obs::counter_value("plm.graph_scratch_reuse") > before,
-            "second encode on this thread must reuse the scratch tape"
-        );
-        assert_eq!(first.data(), second.data());
-        let fast = m.encode_prec(&seq, Precision::Fast);
-        let exact_again = m.encode(&seq);
-        assert_eq!(first.data(), exact_again.data());
+        let long = m.wrap(&[5, 9, 13, 21, 30, 31, 9, 7, 14, 15]);
+        let short = m.wrap(&[5, 9]);
+        let first = m.encode(&long, EXACT);
+        let fast = m.encode(&long, Precision::Fast);
+        let _ = m.encode(&short, Precision::Fast);
+        assert_eq!(first.data(), m.encode(&long, EXACT).data());
+        assert_eq!(fast.data(), m.encode(&long, Precision::Fast).data());
+        assert_ne!(first.data(), fast.data(), "the tier must reach the forward");
         for (e, f) in first.data().iter().zip(fast.data()) {
             assert!((e - f).abs() < 1e-2, "fast diverged: exact={e} fast={f}");
         }
+        let close = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-2);
+        assert!(close(
+            &m.rtd_probs(&long, EXACT),
+            &m.rtd_probs(&long, Precision::Fast)
+        ));
+        assert!(close(
+            &m.mlm_probs(&long, 3, EXACT),
+            &m.mlm_probs(&long, 3, Precision::Fast)
+        ));
+        let nli = |p| m.nli_entail_prob(&[5, 6, 7], &[8, 9], p);
+        assert!((nli(EXACT) - nli(Precision::Fast)).abs() < 1e-2);
     }
 
     #[test]
@@ -802,6 +652,6 @@ mod tests {
     fn overlong_unwrapped_sequence_panics() {
         let m = model();
         let long: Vec<TokenId> = vec![5; 100];
-        m.encode(&long);
+        m.encode(&long, EXACT);
     }
 }
