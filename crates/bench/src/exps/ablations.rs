@@ -12,6 +12,7 @@ use crate::{standard_word_vectors, BenchConfig, BenchError, Table};
 use structmine::conwea::ConWea;
 use structmine::westclass::WeSTClass;
 use structmine::xclass::XClass;
+use structmine_linalg::ExecPolicy;
 use structmine_plm::{pretrain, MiniPlm, PlmConfig, PretrainConfig};
 use structmine_text::synth::recipes;
 
@@ -51,6 +52,7 @@ pub fn plm_scaling_curve(cfg: &BenchConfig) -> Result<Table, BenchError> {
                 seed: 13,
                 ..Default::default()
             },
+            ExecPolicy::global(),
         );
         let out = XClass::default().run(&d, &model);
         let acc = crate::test_accuracy(&d, &out.predictions);

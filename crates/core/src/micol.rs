@@ -278,7 +278,7 @@ fn train_bi_encoder(features: &Matrix, pairs: &[(usize, usize)], cfg: &MiCoL, d:
         let penalty = g.scale(fro, anchor / d as f32);
         let loss = g.add(nce, penalty);
         g.backward(loss);
-        adam.step(&mut store, &g, &binding);
+        adam.step(&mut store, &binding.grads(&g));
     }
     store.value(w).clone()
 }
@@ -522,7 +522,7 @@ pub fn supervised_match_ranking(
         let scaled = g.scale(logits, 1.0 / temp);
         let loss = g.softmax_cross_entropy(scaled, &targets);
         g.backward(loss);
-        adam.step(&mut store, &g, &binding);
+        adam.step(&mut store, &binding.grads(&g));
     }
     let proj = store.value(w).clone();
     rank_by_projection(&features, &labels, &proj)

@@ -364,7 +364,7 @@ impl MultiLabelHead {
                 let logits = g.add_row_broadcast(xw, b);
                 let loss = g.sigmoid_bce(logits, &tb);
                 g.backward(loss);
-                adam.step(&mut self.store, &g, &binding);
+                adam.step(&mut self.store, &binding.grads(&g));
             }
         }
     }

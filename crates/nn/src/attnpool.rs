@@ -113,7 +113,7 @@ impl AttnPoolClassifier {
                 if let Some(loss) = total {
                     epoch_loss += g.value(loss).get(0, 0);
                     g.backward(loss);
-                    adam.step(&mut self.store, &g, &binding);
+                    adam.step(&mut self.store, &binding.grads(&g));
                 }
             }
             last = epoch_loss;

@@ -129,7 +129,7 @@ impl MlpClassifier {
                 epoch_loss += g.value(loss).get(0, 0);
                 batches += 1;
                 g.backward(loss);
-                adam.step(&mut self.store, &g, &binding);
+                adam.step(&mut self.store, &binding.grads(&g));
             }
             last_epoch_loss = epoch_loss / batches.max(1) as f32;
         }

@@ -149,22 +149,36 @@ struct Node {
 ///
 /// Every tape computes at the Exact tier: libm transcendentals and the
 /// bit-reproducible matmul kernels, whatever `STRUCTMINE_PRECISION` says.
-#[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    /// The policy every product on this tape runs under: the creator's
+    /// thread count, with the tier pinned to Exact so a Fast process never
+    /// trains on (or checkpoints) Fast arithmetic.
+    policy: ExecPolicy,
 }
 
-/// The policy every tape product runs under: the process-global thread
-/// count at the Exact tier, so a Fast process never trains on (or
-/// checkpoints) Fast arithmetic.
-fn exact() -> ExecPolicy {
-    ExecPolicy::global().with_precision(Precision::Exact)
+impl Default for Graph {
+    fn default() -> Self {
+        Graph::new()
+    }
 }
 
 impl Graph {
-    /// An empty tape.
+    /// An empty tape whose products use the process-global thread count.
     pub fn new() -> Self {
-        Graph::default()
+        Graph::with_policy(ExecPolicy::global())
+    }
+
+    /// An empty tape whose products use `policy`'s thread count, at the
+    /// Exact tier whatever `policy`'s precision. A tape built inside an
+    /// exec-layer worker passes [`ExecPolicy::serial`], so the parallelism
+    /// stays one level up, across tapes. The thread count never changes a
+    /// bit of any value or gradient.
+    pub fn with_policy(policy: &ExecPolicy) -> Self {
+        Graph {
+            nodes: Vec::new(),
+            policy: policy.with_precision(Precision::Exact),
+        }
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> NodeId {
@@ -283,7 +297,7 @@ impl Graph {
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let mut v = arena::take_uninit(va.rows(), vb.cols());
-        va.gemm(Rhs::Dense(vb), &mut v, &exact());
+        va.gemm(Rhs::Dense(vb), &mut v, &self.policy);
         self.push(v, Op::MatMul(a, b))
     }
 
@@ -294,7 +308,7 @@ impl Graph {
     pub fn matmul_t(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let mut v = arena::take_uninit(va.rows(), vb.rows());
-        va.gemm(Rhs::Transposed(vb), &mut v, &exact());
+        va.gemm(Rhs::Transposed(vb), &mut v, &self.policy);
         self.push(v, Op::MatMulT(a, b))
     }
 
@@ -539,11 +553,11 @@ impl Graph {
             Op::MatMul(a, b) => {
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
                 let mut ga = arena::take_uninit(grad_out.rows(), vb.rows());
-                grad_out.gemm(Rhs::Transposed(vb), &mut ga, &exact());
+                grad_out.gemm(Rhs::Transposed(vb), &mut ga, &self.policy);
                 let mut at = arena::take_uninit(va.cols(), va.rows());
                 va.transpose_into(&mut at);
                 let mut gb = arena::take_uninit(at.rows(), grad_out.cols());
-                at.gemm(Rhs::Dense(grad_out), &mut gb, &exact());
+                at.gemm(Rhs::Dense(grad_out), &mut gb, &self.policy);
                 arena::give_back(at);
                 vec![(*a, ga), (*b, gb)]
             }
@@ -551,11 +565,11 @@ impl Graph {
                 // out = A·Bᵀ, so dA = G·B and dB = Gᵀ·A.
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
                 let mut ga = arena::take_uninit(grad_out.rows(), vb.cols());
-                grad_out.gemm(Rhs::Dense(vb), &mut ga, &exact());
+                grad_out.gemm(Rhs::Dense(vb), &mut ga, &self.policy);
                 let mut gt = arena::take_uninit(grad_out.cols(), grad_out.rows());
                 grad_out.transpose_into(&mut gt);
                 let mut gb = arena::take_uninit(gt.rows(), va.cols());
-                gt.gemm(Rhs::Dense(va), &mut gb, &exact());
+                gt.gemm(Rhs::Dense(va), &mut gb, &self.policy);
                 arena::give_back(gt);
                 vec![(*a, ga), (*b, gb)]
             }
@@ -1136,6 +1150,32 @@ mod tests {
         assert_eq!(l1.to_bits(), l2.to_bits());
         assert_eq!(l1.to_bits(), l3.to_bits());
         assert_eq!(g1.data(), g2.data());
+        assert_eq!(g1.data(), g3.data());
+    }
+
+    /// A tape takes only the thread count from its policy: a 3-thread Fast
+    /// policy still computes Exact products, and its values and gradients
+    /// match a serial tape bit for bit. The zero-against-`inf` product
+    /// tells the tiers apart (Exact skips zero terms, Fast computes NaN);
+    /// 70 rows clear the kernels' parallel row threshold.
+    #[test]
+    fn tape_policy_sets_threads_but_never_the_tier() {
+        let fast = ExecPolicy::with_threads(3).with_precision(Precision::Fast);
+        let mut g = Graph::with_policy(&fast);
+        let a = g.leaf(Matrix::from_vec(2, 2, vec![0.0, 1.0, 0.0, 2.0]));
+        let b = g.leaf(Matrix::from_vec(2, 2, vec![f32::INFINITY, 1.0, 3.0, 4.0]));
+        let ab = g.matmul(a, b);
+        assert_eq!(g.value(ab).data(), &[3.0, 4.0, 6.0, 8.0]);
+
+        let x_val = random_matrix(70, 5, 112);
+        let w_val = random_matrix(5, 4, 113);
+        let (l1, g1) = train_round(
+            &mut Graph::with_policy(&ExecPolicy::serial()),
+            &x_val,
+            &w_val,
+        );
+        let (l3, g3) = train_round(&mut Graph::with_policy(&fast), &x_val, &w_val);
+        assert_eq!(l1.to_bits(), l3.to_bits());
         assert_eq!(g1.data(), g3.data());
     }
 

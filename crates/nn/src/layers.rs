@@ -159,7 +159,7 @@ mod tests {
             let diff = g.add(y, t);
             let loss = g.mul(diff, diff);
             g.backward(loss);
-            adam.step(&mut store, &g, &binding);
+            adam.step(&mut store, &binding.grads(&g));
         }
         assert!((store.value(layer.weight()).get(0, 0) - 2.0).abs() < 0.1);
         assert!((store.value(layer.bias()).get(0, 0) - 1.0).abs() < 0.1);

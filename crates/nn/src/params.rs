@@ -2,8 +2,8 @@
 //!
 //! Models own a [`ParamStore`]; each training step binds parameters into a
 //! fresh [`Graph`](crate::graph::Graph) as leaves (recording the mapping in a
-//! [`Binding`]), runs forward/backward, and calls [`Adam::step`] to apply
-//! the leaf gradients back onto the store.
+//! [`Binding`]), runs forward/backward, and hands the leaf gradients
+//! ([`Binding::grads`]) to [`Adam::step`], which applies them to the store.
 
 use crate::graph::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -141,9 +141,13 @@ impl Binding {
         Self::default()
     }
 
-    /// Iterate over recorded pairs.
-    pub fn pairs(&self) -> &[(ParamId, NodeId)] {
-        &self.pairs
+    /// Each recorded leaf's gradient on `graph` (`None` when it received
+    /// none), in binding order — the input of [`Adam::step`].
+    pub fn grads<'g>(&self, graph: &'g Graph) -> Vec<(ParamId, Option<&'g Matrix>)> {
+        self.pairs
+            .iter()
+            .map(|&(pid, nid)| (pid, graph.grad_ref(nid)))
+            .collect()
     }
 }
 
@@ -190,50 +194,47 @@ impl Adam {
         self.lr = lr;
     }
 
-    /// Apply one update using the gradients accumulated on `graph` for every
-    /// parameter recorded in `binding`.
-    pub fn step(&mut self, store: &mut ParamStore, graph: &Graph, binding: &Binding) {
+    /// Apply one update from `(parameter, leaf gradient)` pairs, in binding
+    /// order (see [`Binding::grads`]). A parameter may appear several times
+    /// (e.g. once per sequence in a batch); its true gradient is the sum
+    /// over all of its leaves, folded in the order given and applied as ONE
+    /// update. Only parameters that appear are updated.
+    pub fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Option<&Matrix>)]) {
         self.t += 1;
         // The loop below writes store.values directly (bypassing value_mut),
         // so count the write here.
         store.note_weight_write();
-        // A parameter may be bound into the tape several times (e.g. once
-        // per sequence in a batch); its true gradient is the sum over all
-        // of its leaves, applied as ONE update.
-        let mut by_param: std::collections::HashMap<usize, Matrix> =
-            std::collections::HashMap::new();
-        for &(pid, nid) in binding.pairs.iter() {
-            // A leaf with no accumulated gradient still participates as an
-            // all-zeros contribution (its entry must exist so m/v decay even
-            // when the parameter got no signal this step).
-            match by_param.entry(pid.0) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    match graph.grad_ref(nid) {
-                        Some(g) => e.get_mut().axpy(1.0, g),
-                        // Keep the historical `+= 0.0` pass so bit patterns
-                        // match the old zeros-materializing path exactly
-                        // (it canonicalizes any -0.0 to +0.0).
-                        None => {
-                            for x in e.get_mut().data_mut() {
-                                *x += 0.0;
-                            }
-                        }
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let g = match graph.grad_ref(nid) {
+        let mut summed: Vec<Option<Matrix>> = vec![None; store.len()];
+        for &(pid, grad) in grads {
+            // A leaf with no gradient still participates as an all-zeros
+            // contribution (its entry must exist so m/v decay even when
+            // the parameter got no signal this step).
+            match (&mut summed[pid.0], grad) {
+                (slot @ None, g) => {
+                    *slot = Some(match g {
                         Some(g) => g.clone(),
                         None => {
                             let p = &store.values[pid.0];
                             Matrix::zeros(p.rows(), p.cols())
                         }
-                    };
-                    e.insert(g);
+                    });
+                }
+                (Some(acc), Some(g)) => acc.axpy(1.0, g),
+                // Keep the historical `+= 0.0` pass so bit patterns match
+                // the old zeros-materializing path exactly (it canonicalizes
+                // any -0.0 to +0.0).
+                (Some(acc), None) => {
+                    for x in acc.data_mut() {
+                        *x += 0.0;
+                    }
                 }
             }
         }
-        let mut grads: Vec<(usize, Matrix)> = by_param.into_iter().collect();
-        grads.sort_by_key(|&(pid, _)| pid);
+        let mut grads: Vec<(usize, Matrix)> = summed
+            .into_iter()
+            .enumerate()
+            .filter_map(|(pid, g)| Some((pid, g?)))
+            .collect();
 
         if self.clip > 0.0 {
             let norm: f32 = grads
@@ -294,7 +295,7 @@ mod tests {
             let ones = g.leaf(Matrix::filled(3, 1, 1.0));
             let loss = g.matmul(sq, ones);
             g.backward(loss);
-            adam.step(&mut store, &g, &binding);
+            adam.step(&mut store, &binding.grads(&g));
         }
         for (a, b) in store.value(x).data().iter().zip(target.data()) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
@@ -312,7 +313,7 @@ mod tests {
         // loss = 1000 * x  ->  raw grad 1000, clipped to 0.001.
         let loss = g.scale(xl, 1000.0);
         g.backward(loss);
-        adam.step(&mut store, &g, &binding);
+        adam.step(&mut store, &binding.grads(&g));
         // Adam normalizes by sqrt(v), so magnitude is bounded by lr regardless;
         // the real check is that clipping didn't blow up and sign is right.
         assert!(store.value(x).get(0, 0) < 0.0);
@@ -367,7 +368,7 @@ mod tests {
         let rowsum = g.matmul(ones_l, leaf);
         let loss = g.matmul(rowsum, ones_r);
         g.backward(loss);
-        adam.step(&mut store, &g, &binding);
+        adam.step(&mut store, &binding.grads(&g));
         assert_ne!(store.generation(), g2);
     }
 

@@ -114,6 +114,7 @@ impl Stage for AdaptPlm<'_> {
             self.corpus,
             self.steps,
             self.seed,
+            ExecPolicy::global(),
         ))
     }
 }

@@ -24,6 +24,7 @@ use crate::pretrain::{pretrain, PretrainConfig};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+use structmine_linalg::ExecPolicy;
 use structmine_store::{ArtifactStore, Persistence, StableHash, StableHasher, Stage};
 use structmine_text::synth::recipes;
 use structmine_text::Corpus;
@@ -115,7 +116,12 @@ impl Stage for PretrainPlm<'_> {
 
     fn compute(&self) -> PlmCheckpoint {
         let mut model = MiniPlm::new(self.model_config);
-        pretrain(&mut model, self.corpus, &self.pretrain_config);
+        pretrain(
+            &mut model,
+            self.corpus,
+            &self.pretrain_config,
+            ExecPolicy::global(),
+        );
         PlmCheckpoint::of(&model)
     }
 }

@@ -7,8 +7,9 @@
 //! * RTD — a linear replaced-token-detection probe per position (ELECTRA);
 //! * NLI — a 2-way entail/not-entail classifier on the `[CLS]` state.
 //!
-//! One sequence per forward call; training batches bind the parameters once
-//! per tape and accumulate several sequence losses before the Adam step.
+//! One sequence per forward call, and every forward call binds its own copy
+//! of the parameters; pretraining gives each sequence its own tape and sums
+//! the leaf gradients of a whole batch in one Adam step.
 
 use crate::config::PlmConfig;
 use crate::infer::{self, PackedWeights};

@@ -13,12 +13,13 @@
 //!   self-supervised stand-in for the MNLI fine-tuning TaxoClass's
 //!   relevance model relies on.
 
-use crate::model::MiniPlm;
+use crate::model::{BoundPlm, MiniPlm};
 use rand::rngs::StdRng;
 use rand::Rng;
-use structmine_linalg::{rng as lrng, Matrix};
-use structmine_nn::graph::{Graph, NodeId};
-use structmine_nn::params::Binding;
+use structmine_linalg::exec::par_map_chunks;
+use structmine_linalg::{rng as lrng, ExecPolicy, Matrix};
+use structmine_nn::graph::Graph;
+use structmine_nn::params::{Binding, ParamId};
 use structmine_text::vocab::{TokenId, Vocab, MASK, N_SPECIAL};
 use structmine_text::Corpus;
 
@@ -79,16 +80,24 @@ pub struct PretrainReport {
 }
 
 /// Pretrain `model` on `corpus`.
-pub fn pretrain(model: &mut MiniPlm, corpus: &Corpus, cfg: &PretrainConfig) -> PretrainReport {
+///
+/// Each step first samples its loss terms serially (one RNG stream, so the
+/// step is a pure function of the seed), then trains every term on its own
+/// tape across `policy`'s threads, and finally hands all leaf gradients to
+/// one Adam step in term order. The terms only ever met in the loss sum,
+/// whose gradient is exactly 1, and the optimizer folds each parameter's
+/// leaf gradients in that same order, so the weights are bit-identical for
+/// every thread count.
+pub fn pretrain(
+    model: &mut MiniPlm,
+    corpus: &Corpus,
+    cfg: &PretrainConfig,
+    policy: &ExecPolicy,
+) -> PretrainReport {
     assert!(!corpus.is_empty(), "pretraining corpus is empty");
     let mut rng = lrng::seeded(cfg.seed);
     let mut adam = model.optimizer(cfg.lr);
-    let vocab_size = model.config.vocab_size;
     let mut mlm_losses = Vec::with_capacity(cfg.steps);
-    // One tape reused across all steps: reset() recycles every node's
-    // storage through the graph arena, so steady-state steps stop
-    // allocating matrix buffers entirely.
-    let mut g = Graph::new();
 
     for step in 0..cfg.steps {
         // Linear warmup for 5% then linear decay to 10%.
@@ -100,75 +109,22 @@ pub fn pretrain(model: &mut MiniPlm, corpus: &Corpus, cfg: &PretrainConfig) -> P
         };
         adam.set_lr(lr.max(cfg.lr * 0.05));
 
-        g.reset();
-        let mut binding = Binding::new();
+        let terms = sample_terms(model, corpus, cfg, &mut rng);
+        structmine_store::obs::counter_add("plm.pretrain.tapes", terms.len() as u64);
         let bound = model.bound();
-        let mut total_loss = None;
-        let mut step_mlm = 0.0f32;
-
-        for b in 0..cfg.batch {
-            let doc = &corpus.docs[rng.gen_range(0..corpus.len())];
-            if doc.tokens.is_empty() {
-                continue;
-            }
-            let window = sample_window(&doc.tokens, model.config.max_len - 2, &mut rng);
-            let seq = model.wrap(&window);
-
-            // --- MLM ---
-            let (masked, positions, gold) =
-                mask_sequence(&seq, cfg.mask_prob, vocab_size, &mut rng);
-            let hidden = bound.encode_with_binding(&mut g, &mut binding, &masked);
-            let logits = bound.mlm_logits_with_binding(&mut g, &mut binding, hidden, &positions);
-            let mut targets = Matrix::zeros(positions.len(), vocab_size);
-            for (r, &t) in gold.iter().enumerate() {
-                targets.set(r, t as usize, 1.0);
-            }
-            let mlm_loss = g.softmax_cross_entropy(logits, &targets);
-            step_mlm += g.value(mlm_loss).get(0, 0);
-            let scaled = g.scale(mlm_loss, 1.0 / cfg.batch as f32);
-            add_loss_term(&mut g, &mut total_loss, scaled);
-
-            // --- RTD on a corrupted copy (half the batch) ---
-            if cfg.rtd_weight > 0.0 && b % 2 == 0 {
-                let (corrupted, labels) = corrupt_sequence(&seq, 0.15, vocab_size, &mut rng);
-                let h = bound.encode_with_binding(&mut g, &mut binding, &corrupted);
-                let rtd_logits = bound.rtd_logits_with_binding(&mut g, &mut binding, h);
-                let target = Matrix::from_vec(labels.len(), 1, labels);
-                let rtd_loss = g.sigmoid_bce(rtd_logits, &target);
-                let scaled = g.scale(rtd_loss, 2.0 * cfg.rtd_weight / cfg.batch as f32);
-                add_loss_term(&mut g, &mut total_loss, scaled);
-            }
-
-            // --- NLI pair (quarter of the batch) ---
-            if cfg.nli_weight > 0.0 && b % 4 == 0 && window.len() >= 6 {
-                let mid = window.len() / 2;
-                let premise = &window[..mid];
-                let entail: bool = rng.gen();
-                let hyp_owned;
-                let hypothesis: &[TokenId] = if entail {
-                    &window[mid..]
-                } else {
-                    let other = &corpus.docs[rng.gen_range(0..corpus.len())].tokens;
-                    if other.len() < 2 {
-                        continue;
-                    }
-                    hyp_owned = other[other.len() / 2..].to_vec();
-                    &hyp_owned
-                };
-                let seq = model.wrap_pair(premise, hypothesis);
-                let h = bound.encode_with_binding(&mut g, &mut binding, &seq);
-                let logits = bound.nli_logits_with_binding(&mut g, &mut binding, h);
-                let mut target = Matrix::zeros(1, 2);
-                target.set(0, usize::from(entail), 1.0);
-                let nli_loss = g.softmax_cross_entropy(logits, &target);
-                let scaled = g.scale(nli_loss, 4.0 * cfg.nli_weight / cfg.batch as f32);
-                add_loss_term(&mut g, &mut total_loss, scaled);
-            }
-        }
-
-        if let Some(loss) = total_loss {
-            g.backward(loss);
-            adam.step(model.store_mut(), &g, &binding);
+        let trained = par_map_chunks(policy, &terms, |_, term| train_term(&bound, term));
+        // Folded from +0.0 in term order (`Sum` for f32 starts at -0.0,
+        // which would flip the sign bit of an all-empty step's loss).
+        let step_mlm = trained
+            .iter()
+            .filter_map(|t| t.mlm_loss)
+            .fold(0.0f32, |acc, l| acc + l);
+        if !trained.is_empty() {
+            let grads: Vec<_> = trained
+                .iter()
+                .flat_map(|t| t.grads.iter().map(|(pid, g)| (*pid, g.as_ref())))
+                .collect();
+            adam.step(model.store_mut(), &grads);
         }
         mlm_losses.push(step_mlm / cfg.batch as f32);
     }
@@ -188,7 +144,13 @@ pub fn pretrain(model: &mut MiniPlm, corpus: &Corpus, cfg: &PretrainConfig) -> P
 ///
 /// Every method paper the tutorial covers further pretrains its BERT on the
 /// task corpus before classification; this is that step at mini scale.
-pub fn adapt(model: &MiniPlm, corpus: &Corpus, steps: usize, seed: u64) -> MiniPlm {
+pub fn adapt(
+    model: &MiniPlm,
+    corpus: &Corpus,
+    steps: usize,
+    seed: u64,
+    policy: &ExecPolicy,
+) -> MiniPlm {
     let mut adapted = model.clone_model();
     pretrain(
         &mut adapted,
@@ -202,21 +164,140 @@ pub fn adapt(model: &MiniPlm, corpus: &Corpus, steps: usize, seed: u64) -> MiniP
             seed,
             ..Default::default()
         },
+        policy,
     );
     adapted
 }
 
-/// Take a random window of at most `max` tokens.
-/// Fold one scaled objective term into the step's running loss node —
-/// seeds the accumulator on the first term, adds on the tape afterwards.
-fn add_loss_term(g: &mut Graph, total: &mut Option<NodeId>, term: NodeId) {
-    *total = Some(match total.take() {
-        None => term,
-        Some(acc) => g.add(acc, term),
-    });
+/// The head a loss term is read from.
+enum Head {
+    /// Tied-embedding MLM logits at these masked positions (softmax CE).
+    Mlm(Vec<usize>),
+    /// Per-position replaced-token logits (sigmoid BCE).
+    Rtd,
+    /// Entail/not-entail logits from `[CLS]` (softmax CE).
+    Nli,
 }
 
-fn sample_window(tokens: &[TokenId], max: usize, rng: &mut StdRng) -> Vec<TokenId> {
+/// One sequence's contribution to a step's loss: `scale` times the loss of
+/// `head` on `tokens` against `targets`.
+struct Term {
+    tokens: Vec<TokenId>,
+    head: Head,
+    targets: Matrix,
+    scale: f32,
+}
+
+/// What training one term yields: every bound leaf's gradient in binding
+/// order, and the unscaled loss of an MLM term.
+struct TrainedTerm {
+    grads: Vec<(ParamId, Option<Matrix>)>,
+    mlm_loss: Option<f32>,
+}
+
+/// Sample one step's loss terms, in the order they enter the loss: per
+/// batch slot an MLM term, an RTD term on every second slot and an NLI term
+/// on every fourth. Empty documents, and NLI negatives whose other
+/// document has fewer than 2 tokens, contribute nothing.
+fn sample_terms(
+    model: &MiniPlm,
+    corpus: &Corpus,
+    cfg: &PretrainConfig,
+    rng: &mut StdRng,
+) -> Vec<Term> {
+    let vocab_size = model.config.vocab_size;
+    let mut terms = Vec::new();
+    for b in 0..cfg.batch {
+        let doc = &corpus.docs[rng.gen_range(0..corpus.len())];
+        if doc.tokens.is_empty() {
+            continue;
+        }
+        let window = sample_window(&doc.tokens, model.config.max_len - 2, rng);
+        let seq = model.wrap(&window);
+
+        let (masked, positions, gold) = mask_sequence(&seq, cfg.mask_prob, vocab_size, rng);
+        let mut targets = Matrix::zeros(positions.len(), vocab_size);
+        for (r, &t) in gold.iter().enumerate() {
+            targets.set(r, t as usize, 1.0);
+        }
+        terms.push(Term {
+            tokens: masked,
+            head: Head::Mlm(positions),
+            targets,
+            scale: 1.0 / cfg.batch as f32,
+        });
+
+        if cfg.rtd_weight > 0.0 && b % 2 == 0 {
+            let (corrupted, labels) = corrupt_sequence(&seq, 0.15, vocab_size, rng);
+            terms.push(Term {
+                tokens: corrupted,
+                head: Head::Rtd,
+                targets: Matrix::from_vec(labels.len(), 1, labels),
+                scale: 2.0 * cfg.rtd_weight / cfg.batch as f32,
+            });
+        }
+
+        if cfg.nli_weight > 0.0 && b % 4 == 0 && window.len() >= 6 {
+            let mid = window.len() / 2;
+            let premise = &window[..mid];
+            let entail: bool = rng.gen();
+            let hypothesis = if entail {
+                &window[mid..]
+            } else {
+                let other = &corpus.docs[rng.gen_range(0..corpus.len())].tokens;
+                if other.len() < 2 {
+                    continue;
+                }
+                &other[other.len() / 2..]
+            };
+            let mut targets = Matrix::zeros(1, 2);
+            targets.set(0, usize::from(entail), 1.0);
+            terms.push(Term {
+                tokens: model.wrap_pair(premise, hypothesis),
+                head: Head::Nli,
+                targets,
+                scale: 4.0 * cfg.nli_weight / cfg.batch as f32,
+            });
+        }
+    }
+    terms
+}
+
+/// Train one term on its own serial tape: the caller already spreads terms
+/// across threads, so the tape's products stay on this one.
+fn train_term(bound: &BoundPlm<'_>, term: &Term) -> TrainedTerm {
+    let mut g = Graph::with_policy(&ExecPolicy::serial());
+    let mut binding = Binding::new();
+    let hidden = bound.encode_with_binding(&mut g, &mut binding, &term.tokens);
+    let loss = match &term.head {
+        Head::Mlm(positions) => {
+            let logits = bound.mlm_logits_with_binding(&mut g, &mut binding, hidden, positions);
+            g.softmax_cross_entropy(logits, &term.targets)
+        }
+        Head::Rtd => {
+            let logits = bound.rtd_logits_with_binding(&mut g, &mut binding, hidden);
+            g.sigmoid_bce(logits, &term.targets)
+        }
+        Head::Nli => {
+            let logits = bound.nli_logits_with_binding(&mut g, &mut binding, hidden);
+            g.softmax_cross_entropy(logits, &term.targets)
+        }
+    };
+    let mlm_loss = matches!(term.head, Head::Mlm(_)).then(|| g.value(loss).get(0, 0));
+    let scaled = g.scale(loss, term.scale);
+    g.backward(scaled);
+    TrainedTerm {
+        grads: binding
+            .grads(&g)
+            .into_iter()
+            .map(|(pid, grad)| (pid, grad.cloned()))
+            .collect(),
+        mlm_loss,
+    }
+}
+
+/// Take a random window of at most `max` tokens.
+pub fn sample_window(tokens: &[TokenId], max: usize, rng: &mut StdRng) -> Vec<TokenId> {
     if tokens.len() <= max {
         return tokens.to_vec();
     }
@@ -226,7 +307,7 @@ fn sample_window(tokens: &[TokenId], max: usize, rng: &mut StdRng) -> Vec<TokenI
 
 /// BERT-style masking of a wrapped sequence. Returns (masked sequence,
 /// masked positions, gold tokens). Guarantees at least one masked position.
-fn mask_sequence(
+pub fn mask_sequence(
     seq: &[TokenId],
     mask_prob: f32,
     vocab_size: usize,
@@ -271,7 +352,7 @@ fn mask_sequence(
 
 /// ELECTRA-style corruption: replace tokens with unigram-random ones.
 /// Returns (corrupted sequence, per-position replaced labels).
-fn corrupt_sequence(
+pub fn corrupt_sequence(
     seq: &[TokenId],
     prob: f32,
     vocab_size: usize,
@@ -359,6 +440,7 @@ mod tests {
                 batch: 6,
                 ..Default::default()
             },
+            &ExecPolicy::serial(),
         );
         assert!(
             report.final_mlm_loss < report.initial_mlm_loss * 0.92,
